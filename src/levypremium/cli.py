@@ -109,16 +109,22 @@ def _parse_schema(text: str) -> dict:
     return schema
 
 
+def _read_json(path: str, what: str):
+    """Parsed JSON file: DataError (exit 3) when unreadable, CliConfigError
+    (exit 2) when not JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:   # JSONDecodeError, UnicodeDecodeError
+        raise CliConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset CLI flags from the optional JSON config (flags override file)."""
     if not getattr(args, "config", None):
         return args
-    try:
-        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
+    payload = _read_json(args.config, "config")
     if not isinstance(payload, dict):
         raise CliConfigError("config file must contain a JSON object")
     for key, value in payload.items():
@@ -140,6 +146,8 @@ def _load_growth(args) -> GrowthSeries:
             raise DataError(f"cannot open {args.input}: {exc}") from exc
         except ValueError as exc:
             raise DataError(f"cannot parse {args.input}: {exc}") from exc
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{args.input} holds non-finite values")
         return GrowthSeries(log_growth=arr, period=args.period)
     if args.schema is None:
         raise CliConfigError("--schema is required for dated CSV input")
@@ -201,8 +209,7 @@ def _fit_model(model: str, data) -> FitResult:
 def cmd_validate(args) -> int:
     if args.fit is None:
         raise CliConfigError("--fit is required")
-    fit_payload = json.loads(Path(args.fit).read_text(encoding="utf-8"))
-    params = params_from_dict(fit_payload)
+    params = params_from_dict(_read_json(args.fit, "fit"))
     series = _load_growth(args)
     data = series.log_growth
 
@@ -245,7 +252,7 @@ def _per_period_target(annual_target: float, period: str) -> float:
 
 def cmd_calibrate(args) -> int:
     if args.fit is not None:
-        params = params_from_dict(json.loads(Path(args.fit).read_text(encoding="utf-8")))
+        params = params_from_dict(_read_json(args.fit, "fit"))
     elif args.reference is not None:
         params = REFERENCE_MODELS[args.reference]
     else:
@@ -297,12 +304,18 @@ def cmd_calibrate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.n is None or args.seed is None:
         raise CliConfigError("--n and --seed are required")
+    if args.n < 0:
+        raise CliConfigError(f"--n must be >= 0 (got {args.n})")
     if args.fit is not None:
-        params = params_from_dict(json.loads(Path(args.fit).read_text(encoding="utf-8")))
+        params = params_from_dict(_read_json(args.fit, "fit"))
     elif args.reference is not None:
         params = REFERENCE_MODELS[args.reference]
     elif args.params_json is not None:
-        params = params_from_dict(json.loads(args.params_json))
+        try:
+            payload = json.loads(args.params_json)
+        except ValueError as exc:
+            raise CliConfigError(f"--params-json is not valid JSON: {exc}") from exc
+        params = params_from_dict(payload)
     else:
         raise CliConfigError("--fit, --reference, or --params-json is required")
 

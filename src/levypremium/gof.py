@@ -67,10 +67,21 @@ def pit(data, cdf) -> PitSample:
     return PitSample(values=vals)
 
 
-def _ks_statistic(sorted_u: np.ndarray) -> float:
-    n = sorted_u.size
+def _ks_rows(u: np.ndarray) -> np.ndarray:
+    """KS statistic D_n of each row of u, sorted along its last axis."""
+    n = u.shape[-1]
     i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - sorted_u), np.max(sorted_u - (i - 1) / n)))
+    return np.maximum((i / n - u).max(axis=-1), (u - (i - 1) / n).max(axis=-1))
+
+
+def _frosini_rows(u: np.ndarray) -> np.ndarray:
+    """Frosini statistic B_n of each row of u, sorted along its last axis."""
+    n = u.shape[-1]
+    return np.abs(u - (np.arange(1, n + 1) - 0.5) / n).sum(axis=-1) / np.sqrt(n)
+
+
+# Null statistic per kind, with its seed stream under the master seed.
+_MC_STATISTICS = {"ks": (1, _ks_rows), "frosini": (2, _frosini_rows)}
 
 
 def _kolmogorov_sf(t: float) -> float:
@@ -87,36 +98,20 @@ def _kolmogorov_sf(t: float) -> float:
     return float(min(max(2.0 * total, 0.0), 1.0))
 
 
-def _ks_null(n: int) -> np.ndarray:
-    key = ("ks", n)
+def _mc_null(kind: str, n: int) -> np.ndarray:
+    """Sorted Monte-Carlo null of the ``kind`` statistic at sample size n:
+    _MC_REPLICATES uniform samples from the kind's own seed stream, drawn in
+    blocks of at most 2e7 values, cached per (kind, n)."""
+    key = (kind, n)
     if key not in _null_cache:
-        rng = np.random.default_rng([_MC_MASTER_SEED, 1, n])
+        stream, statistic = _MC_STATISTICS[kind]
+        rng = np.random.default_rng([_MC_MASTER_SEED, stream, n])
         stats = np.empty(_MC_REPLICATES)
-        i = np.arange(1, n + 1)
         block = max(1, int(2e7) // n)
         done = 0
         while done < _MC_REPLICATES:
             m = min(block, _MC_REPLICATES - done)
-            u = np.sort(rng.uniform(size=(m, n)), axis=1)
-            stats[done:done + m] = np.maximum(
-                (i / n - u).max(axis=1), (u - (i - 1) / n).max(axis=1))
-            done += m
-        _null_cache[key] = np.sort(stats)
-    return _null_cache[key]
-
-
-def _frosini_null(n: int) -> np.ndarray:
-    key = ("frosini", n)
-    if key not in _null_cache:
-        rng = np.random.default_rng([_MC_MASTER_SEED, 2, n])
-        stats = np.empty(_MC_REPLICATES)
-        centers = (np.arange(1, n + 1) - 0.5) / n
-        block = max(1, int(2e7) // n)
-        done = 0
-        while done < _MC_REPLICATES:
-            m = min(block, _MC_REPLICATES - done)
-            u = np.sort(rng.uniform(size=(m, n)), axis=1)
-            stats[done:done + m] = np.abs(u - centers).sum(axis=1) / np.sqrt(n)
+            stats[done:done + m] = statistic(np.sort(rng.uniform(size=(m, n)), axis=1))
             done += m
         _null_cache[key] = np.sort(stats)
     return _null_cache[key]
@@ -136,11 +131,11 @@ def ks_test_uniform(s: PitSample) -> TestReport:
     n = u.size
     if n < 8:
         raise DataError("KS test requires n >= 8")
-    d = _ks_statistic(u)
+    d = float(_ks_rows(u))
     if n > 100:
         p = _kolmogorov_sf(np.sqrt(n) * d)
     else:
-        p = _mc_p_value(_ks_null(n), d)
+        p = _mc_p_value(_mc_null("ks", n), d)
     return TestReport(statistic=d, p_value=p, method="KS", n=n)
 
 
@@ -173,9 +168,8 @@ def frosini_test(s: PitSample) -> TestReport:
     n = u.size
     if n < 8:
         raise DataError("Frosini test requires n >= 8")
-    centers = (np.arange(1, n + 1) - 0.5) / n
-    stat = float(np.abs(u - centers).sum() / np.sqrt(n))
-    p = _mc_p_value(_frosini_null(n), stat)
+    stat = float(_frosini_rows(u))
+    p = _mc_p_value(_mc_null("frosini", n), stat)
     return TestReport(statistic=stat, p_value=p, method="Frosini", n=n)
 
 

@@ -9,8 +9,8 @@ Conventions used throughout:
   this is the unique scaling compatible with e^{-t phi(s)} for the Laplace
   exponent phi(s) = -(lam/mu)(1 - sqrt(1 + 2 mu^2 s / lam)).
 * Lévy exponent psi(u) = -ln E[e^{iuX(1)}]; all complex square roots are
-  principal-branch.  For the NCIG nesting the innermost radicand always has
-  real part >= 1 for real u, so the branch cut is never crossed (asserted).
+  principal-branch.  For the NCIG nesting both radicands have real part >= 1
+  for real u, so the branch cut is never crossed (checked, DomainError).
 * The doubly subordinated clock is V(t) = T(U(t)) with the *outer* process T
   evaluated at the *inner* process U's value.
 """
@@ -331,20 +331,38 @@ def ig_laplace_exponent(p: IgParams, s) -> float:
     return float(out) if np.ndim(s) == 0 else out
 
 
+def _clock_mgf_log(lt: float, mt: float, lu: float, mu_: float, v):
+    """ln E[e^{v V(1)}] of the clock V = T(U), T(1) ~ IG(lt, mt) and
+    U(1) ~ IG(lu, mu_), for real or complex v, scalar or array:
+
+        (lam_U/mu_U)(1 - sqrt(1 - 2 k (1 - sqrt(1 - (2 mu_T^2/lam_T) v)))),
+        k = mu_U^2 lam_T / (lam_U mu_T).
+
+    Both roots take the principal branch.  A radicand whose real part is
+    negative raises DomainError naming its level: for real v it lies outside
+    the MGF domain; for complex v it has left the half-plane Re >= 0 that
+    keeps the root clear of the branch cut.
+    """
+    inner = 1.0 - (2.0 * mt ** 2 / lt) * v
+    _check_radicand(inner, "inner", v)
+    # k in this order is exactly mu_U when both levels are equal (NCIG).
+    outer = 1.0 - 2.0 * (mu_ * (mu_ / mt) * (lt / lu)) * (1.0 - np.sqrt(inner))
+    _check_radicand(outer, "outer", v)
+    return (lu / mu_) * (1.0 - np.sqrt(outer))
+
+
+def _check_radicand(rad, level: str, v) -> None:
+    bad = rad.real < 0.0
+    if np.count_nonzero(bad):
+        first = np.flatnonzero(bad)[0]
+        raise DomainError(
+            f"nested radicand negative at {level} level: "
+            f"{np.ravel(rad)[first]:.6g} at clock argument v = {np.ravel(v)[first]:.6g}")
+
+
 def double_ig_mgf_log(p: DoubleIgParams, v: float) -> float:
     """ln E[e^{v V(1)}] for the clock V = T(U); domain enforced on both radicands."""
-    lt, mt = p.outer.lam, p.outer.mu
-    lu, mu_ = p.inner.lam, p.inner.mu
-    inner = 1.0 - 2.0 * mt * mt * v / lt
-    if inner < 0.0:
-        raise DomainError(
-            f"nested radicand negative at inner level: 1 - 2*mu_T^2*v/lam_T = {inner:.6g} "
-            f"for v = {v}")
-    outer = 1.0 - 2.0 * (mu_ * mu_ * lt / (lu * mt)) * (1.0 - math.sqrt(inner))
-    if outer < 0.0:
-        raise DomainError(
-            f"nested radicand negative at outer level: value {outer:.6g} for v = {v}")
-    return (lu / mu_) * (1.0 - math.sqrt(outer))
+    return float(_clock_mgf_log(p.outer.lam, p.outer.mu, p.inner.lam, p.inner.mu, v))
 
 
 def double_ig_cumulants(p: DoubleIgParams) -> tuple[float, float, float, float]:
@@ -417,50 +435,28 @@ def double_ig_pdf(p: DoubleIgParams, x: float, abs_tol: float = 1e-8) -> float:
 # NCIG
 # ---------------------------------------------------------------------------
 
-def _ncig_nested_root(p: NcigParams, z):
-    """sqrt(1 - 2 mu (1 - sqrt(1 - (2 mu^2 / lam) z))) with principal branches.
-
-    z is the (possibly complex) Brownian-exponent argument; for real u the
-    innermost radicand has real part >= 1.
-    """
-    inner = 1.0 - (2.0 * p.mu ** 2 / p.lam) * z
-    assert np.all(np.real(np.asarray(inner)) > 0.0), "inner radicand crossed the branch cut"
-    outer = 1.0 - 2.0 * p.mu * (1.0 - np.sqrt(inner))
-    assert np.all(np.real(np.asarray(outer)) > 0.0), "outer radicand crossed the branch cut"
-    return np.sqrt(outer)
+def _brownian_exponent(p: NcigParams, u):
+    """i u nu - sigma^2 u^2 / 2 at complex u."""
+    uu = np.asarray(u, dtype=complex)
+    return 1j * uu * p.nu - 0.5 * p.sigma2 * uu * uu
 
 
 def ncig_levy_exponent(p: NcigParams, u):
     """Lévy exponent psi_Z(u) = -(lam/mu)(1 - sqrt(1 - 2mu(1 - sqrt(1 - (2mu^2/lam)(iu nu - sigma^2 u^2/2)))))."""
-    uu = np.asarray(u, dtype=complex)
-    z = 1j * uu * p.nu - 0.5 * p.sigma2 * uu * uu
-    out = -(p.lam / p.mu) * (1.0 - _ncig_nested_root(p, z))
+    out = -_clock_mgf_log(p.lam, p.mu, p.lam, p.mu, _brownian_exponent(p, u))
     return complex(out) if np.ndim(u) == 0 else out
 
 
 def ncig_chf(p: NcigParams, u):
     """Characteristic function of Z(1): exp((lam/mu)(1 - sqrt(1 - 2mu(1 - sqrt(1 - (2mu^2/lam)(iu nu - sigma^2 u^2/2))))))."""
-    uu = np.asarray(u, dtype=complex)
-    inner = 1.0 - (2.0 * p.mu ** 2 / p.lam) * (1j * uu * p.nu - 0.5 * p.sigma2 * uu * uu)
-    outer = 1.0 - 2.0 * p.mu * (1.0 - np.sqrt(inner))
-    out = np.exp((p.lam / p.mu) * (1.0 - np.sqrt(outer)))
+    out = np.exp(_clock_mgf_log(p.lam, p.mu, p.lam, p.mu, _brownian_exponent(p, u)))
     return complex(out) if np.ndim(u) == 0 else out
 
 
 def ncig_mgf_log(p: NcigParams, s: float) -> float:
-    """ln E[e^{s Z(1)}]; feasibility is checked directly on both nested radicands."""
-    q = s * p.nu + 0.5 * p.sigma2 * s * s
-    inner = 1.0 - (2.0 * p.mu ** 2 / p.lam) * q
-    if inner < 0.0:
-        raise DomainError(
-            f"nested radicand negative at inner level for MGF argument s = {s}: "
-            f"1 - (2 mu^2/lam)(s nu + sigma^2 s^2/2) = {inner:.6g}")
-    outer = 1.0 - 2.0 * p.mu * (1.0 - math.sqrt(inner))
-    if outer < 0.0:
-        raise DomainError(
-            f"nested radicand negative at outer level for MGF argument s = {s}: "
-            f"value {outer:.6g}")
-    return (p.lam / p.mu) * (1.0 - math.sqrt(outer))
+    """ln E[e^{s Z(1)}] = ln E[e^{q V(1)}] at q = s nu + sigma^2 s^2 / 2;
+    feasibility is checked directly on both nested radicands."""
+    return float(_clock_mgf_log(p.lam, p.mu, p.lam, p.mu, s * p.nu + 0.5 * p.sigma2 * s * s))
 
 
 def ncig_cumulants(p: NcigParams) -> tuple[float, float, float, float]:

@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import CalibrationError, DomainError, LevyPremiumError
+from .errors import CalibrationError, DomainError
 from .models import NcigParams, NigParams, NormalParams, ncig_mgf_log, nig_mgf_log
 
 __all__ = [
@@ -71,16 +71,17 @@ def premium_lognormal(b: float, a: float, p: NormalParams) -> PremiumResult:
 
 def premium_nig(b: float, a: float, p: NigParams) -> PremiumResult:
     """Log-NIG growth.  Requires the MGF arguments 1, 1-a, -a all feasible:
-    alpha^2 must exceed (beta+1)^2, (beta+1-a)^2, and (beta-a)^2."""
+    alpha^2 must exceed (beta+1)^2 and be at least (beta+1-a)^2 and (beta-a)^2."""
     al, be, de = p.alpha, p.beta, p.delta
     rads = {}
     for arg, rad_name in ((1.0, "(beta + 1)"), (1.0 - a, "(beta + 1 - a)"),
                           (-a, "(beta - a)")):
         rad = (al - be - arg) * (al + be + arg)   # alpha^2 - (beta + arg)^2
-        if rad <= 0.0:
+        # 1-a and -a may reach the edge of the MGF domain; the unit argument may not.
+        if rad < 0.0 or (arg == 1.0 and rad == 0.0):
             raise DomainError(
                 f"CRRA outside NIG feasibility region: radicand alpha^2 - {rad_name}^2 "
-                f"<= 0 at a = {a}")
+                f"= {rad:.6g} at a = {a}")
         rads[arg] = rad
     g = p.gamma
     r_ma = math.sqrt(rads[-a])
@@ -89,49 +90,20 @@ def premium_nig(b: float, a: float, p: NigParams) -> PremiumResult:
     # gamma - r_ma and r_p1ma - r_p1 in cancellation-free pairwise form.
     term1 = (a * a - 2.0 * a * be) / (g + r_ma)
     term2 = (2.0 * a * (be + 1.0) - a * a) / (r_p1ma + r_p1)
-    premium = de * (term1 + term2)
-    # Independent of b and mu by construction; cross-check the MGF composition.
-    # Its roundoff scales with the cancelled magnitude delta*gamma and blows
-    # up like 1/r near the feasibility boundary where a radical approaches 0.
-    composed = (nig_mgf_log(p, 1.0) - nig_mgf_log(p, 1.0 - a) + nig_mgf_log(p, -a))
-    eps = float(np.finfo(float).eps)
-    conditioning = al * al / max(min(r_ma, r_p1ma, r_p1), 1e-300)
-    assert abs(premium - composed) <= 1e-12 + 64.0 * eps * de * (g + conditioning)
-
     log_rf = -math.log(b) - nig_mgf_log(p, -a)
-    return _result(log_rf, premium)
+    return _result(log_rf, de * (term1 + term2))
 
 
 def premium_ncig(b: float, a: float, p: NcigParams) -> PremiumResult:
-    """Log-NCIG growth: log premium = (lam/mu)(1 + A1 - A2 - A3) with the
-    three nested radicals evaluated at MGF arguments 1-a, -a, and 1."""
+    """Log-NCIG growth: log premium = g(1) - g(1-a) + g(-a) for g = ncig_mgf_log,
+    which is (lam/mu)(1 + A1 - A2 - A3) with the nested radicals A1, A2, A3 at
+    the MGF arguments 1-a, -a and 1."""
     try:
-        g1 = ncig_mgf_log(p, 1.0)
-        g1ma = ncig_mgf_log(p, 1.0 - a)
         gma = ncig_mgf_log(p, -a)
+        premium = ncig_mgf_log(p, 1.0) - ncig_mgf_log(p, 1.0 - a) + gma
     except DomainError as exc:
         raise DomainError(f"CRRA outside NCIG feasibility region at a = {a}: {exc}") from exc
-
-    a1 = _ncig_outer_root(p, 1.0 - a)
-    a2 = _ncig_outer_root(p, -a)
-    a3 = _ncig_outer_root(p, 1.0)
-    premium = (p.lam / p.mu) * (1.0 + a1 - a2 - a3)
-
-    composed = g1 - g1ma + gma
-    tol = max(1e-12, 32.0 * np.finfo(float).eps * (p.lam / p.mu))
-    if abs(premium - composed) > tol:
-        raise LevyPremiumError(
-            f"NCIG premium formulations disagree: {premium!r} vs {composed!r}")
-
-    log_rf = -math.log(b) - gma
-    return _result(log_rf, premium)
-
-
-def _ncig_outer_root(p: NcigParams, s: float) -> float:
-    q = s * p.nu + 0.5 * p.sigma2 * s * s
-    inner = 1.0 - (2.0 * p.mu ** 2 / p.lam) * q
-    outer = 1.0 - 2.0 * p.mu * (1.0 - math.sqrt(inner))
-    return math.sqrt(outer)
+    return _result(-math.log(b) - gma, premium)
 
 
 def ratio_r(a: float, alpha: float) -> float:
@@ -161,39 +133,46 @@ def log_premium(model: GrowthModel, a: float, b: float = 0.5) -> float:
     raise DomainError(f"unsupported growth model type {type(model).__name__}")
 
 
-def feasible_crra_max(model: GrowthModel, probe: float = 1.0,
-                      tol: float = 1e-12) -> float:
-    """Largest feasible CRRA under the model's MGF domain.
+def feasible_crra_max(model: GrowthModel) -> float:
+    """Largest CRRA a at which the premium is defined; the feasible set is [0, a_max].
 
-    Located numerically: geometric expansion until the feasibility error
-    fires, then bisection on the boundary.  Infinite for the normal model.
+    Closed forms (infinite for the normal model):
+
+    * NIG: a_max = alpha + beta, where the radicand alpha^2 - (beta - a)^2 hits 0.
+    * NCIG: a_max = (nu + sqrt(nu^2 + 2 sigma^2 q_max)) / sigma^2, the root at
+      s = -a of q(s) = s nu + sigma^2 s^2 / 2 = q_max.  The inner radicand
+      1 - (2 mu^2/lam) q must stay >= f^2 with f = max(0, 1 - 1/(2 mu)), the
+      floor the outer radicand sets when mu > 1/2, so q_max = lam (1 - f^2) / (2 mu^2).
+
+    Rounding in the radicands can put the closed form up to a few hundred
+    ulps outside the computed domain; the result is stepped down until
+    ``log_premium`` is defined there.
     """
     if isinstance(model, NormalParams):
         return math.inf
-
-    def feasible(a: float) -> bool:
-        try:
-            log_premium(model, a)
-            return True
-        except DomainError:
-            return False
-
-    if not feasible(0.0):
+    if not _defined(model, 0.0):
         raise DomainError("model is infeasible even at a = 0 "
                           "(the unit MGF argument lies outside the domain)")
-    a = max(probe, tol)
-    while feasible(a):
-        a *= 2.0
-        if a > 1e12:
-            return math.inf
-    lo, hi = a / 2.0, a
-    while hi - lo > tol * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if isinstance(model, NigParams):
+        a = model.alpha + model.beta
+    else:
+        lam, mu, nu, s2 = model.lam, model.mu, model.nu, model.sigma2
+        f = max(0.0, 1.0 - 1.0 / (2.0 * mu))
+        q_max = lam * (1.0 - f * f) / (2.0 * mu ** 2)
+        a = (nu + math.sqrt(nu ** 2 + 2.0 * s2 * q_max)) / s2
+    step = math.ulp(a)
+    while not _defined(model, a):
+        a -= step
+        step *= 2.0
+    return a
+
+
+def _defined(model: GrowthModel, a: float) -> bool:
+    try:
+        log_premium(model, a)
+        return True
+    except DomainError:
+        return False
 
 
 def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel,
@@ -234,6 +213,8 @@ def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel,
     lo = 0.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):   # adjacent floats: tol is below the spacing of a
+            break
         if log_premium(model, mid) < target_log_premium:
             lo = mid
         else:

@@ -54,6 +54,38 @@ class TestSimulate:
         assert run("simulate", "--reference", "nig",
                    "--out", str(tmp_path / "x.csv")) == EXIT_CONFIG
 
+    def test_negative_n_is_config_error(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run("simulate", "--reference", "normal", "--n", "-5", "--seed", "1",
+                   "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_malformed_params_json_is_config_error(self, tmp_path):
+        assert run("simulate", "--params-json", "{model: normal", "--n", "10",
+                   "--seed", "1", "--out", str(tmp_path / "x.csv")) == EXIT_CONFIG
+
+
+def fit_file_argv(command, fit_path, tmp_path):
+    """A ``command`` invocation that reads ``--fit fit_path`` and is otherwise valid."""
+    argv = {"validate": ["--input", str(tmp_path / "data.csv")],
+            "calibrate": ["--target-premium", "0.05"],
+            "simulate": ["--n", "10", "--seed", "1"]}[command]
+    return [command, "--fit", str(fit_path), *argv, "--out", str(tmp_path / "out")]
+
+
+class TestFitFileErrors:
+    @pytest.mark.parametrize("command", ["validate", "calibrate", "simulate"])
+    def test_missing_fit_file_is_io_error(self, command, tmp_path):
+        (tmp_path / "data.csv").write_text("value\n0.1\n0.2\n")
+        assert run(*fit_file_argv(command, tmp_path / "absent.json", tmp_path)) == EXIT_IO
+
+    @pytest.mark.parametrize("command", ["validate", "calibrate", "simulate"])
+    def test_garbled_fit_file_is_config_error(self, command, tmp_path):
+        (tmp_path / "data.csv").write_text("value\n0.1\n0.2\n")
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text('{"model": "normal", "params": {"mu": 0.0,')
+        assert run(*fit_file_argv(command, fit_path, tmp_path)) == EXIT_CONFIG
+
 
 class TestFit:
     def test_normal_recovery_and_nesting(self, tmp_path):
@@ -74,6 +106,13 @@ class TestFit:
                    "--seed", "5", "--out", str(tmp_path)) == EXIT_OK
         nig_fit = read_json(tmp_path / "fit_nig.json")
         assert nig_fit["objective"] >= fit["objective"] - 1e-6
+
+    def test_non_finite_value_is_data_error(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("value\n0.01\nnan\n-0.02\n0.03\n")
+        assert run("fit", "--model", "normal", "--input", str(data_csv),
+                   "--out", str(tmp_path)) == EXIT_IO
+        assert not (tmp_path / "fit_normal.json").exists()
 
     def test_missing_input_no_partial_output(self, tmp_path):
         assert run("fit", "--model", "normal", "--input",

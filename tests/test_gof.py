@@ -124,6 +124,19 @@ class TestFrosini:
         assert frosini_test(u).p_value == frosini_test(u).p_value
 
 
+class TestMonteCarloNulls:
+    @pytest.mark.parametrize("n,ks_exceed,frosini_exceed", [
+        (20, 23412, 37256),
+        (100, 64327, 45796),
+    ])
+    def test_p_values_frozen(self, n, ks_exceed, frosini_exceed):
+        # Pins each null's seed stream, block layout and statistic: a p-value
+        # is (number of null statistics >= observed + 1) / (1e5 + 1).
+        u = uniform_sample(7, n)
+        assert ks_test_uniform(u).p_value == (ks_exceed + 1) / 100_001
+        assert frosini_test(u).p_value == (frosini_exceed + 1) / 100_001
+
+
 class TestJointSelfConsistency:
     def test_model_generated_data_passes_all_three(self):
         # PIT of model draws through the same model's CDF: all three tests

@@ -378,6 +378,29 @@ class TestNcig:
         second = vals[2:] - 2 * vals[1:-1] + vals[:-2]
         assert np.all(second >= -1e-12)
 
+    @pytest.mark.parametrize("p", [
+        NcigParams(lam=50.0, mu=0.9, nu=0.1, sigma2=1.0),
+        NcigParams(lam=3.0, mu=0.3, nu=-0.4, sigma2=0.2),
+    ])
+    def test_mgf_is_the_clock_mgf_at_the_brownian_exponent(self, p):
+        for s in (-3.0, 0.5, 1.0):
+            q = s * p.nu + 0.5 * p.sigma2 * s * s
+            assert ncig_mgf_log(p, s) == double_ig_mgf_log(p.clock, q)
+
+    def test_chf_continues_to_the_mgf(self):
+        # E[e^{sZ}] = chf(-i s) on the real MGF domain.
+        for s in (-2.0, 0.5, 1.0):
+            assert ncig_chf(REF_NCIG, -1j * s).real == pytest.approx(
+                math.exp(ncig_mgf_log(REF_NCIG, s)), rel=1e-13)
+
+    def test_complex_radicand_off_the_branch_raises(self):
+        # chf(-i s) at s beyond the MGF domain: the inner radicand's real
+        # part turns negative.
+        with pytest.raises(DomainError, match="inner"):
+            ncig_chf(REF_NCIG, np.array([0.0, 1.0, -50j]))
+        with pytest.raises(DomainError, match="inner"):
+            ncig_levy_exponent(REF_NCIG, -50j)
+
 
 class TestNcigSampler:
     def test_seed_determinism(self):

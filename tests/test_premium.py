@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from levypremium import (
     CalibrationError, DomainError, NcigParams, NigParams, NormalParams,
     PremiumInputs, calibrate_crra, feasible_crra_max, log_premium, ncig_mgf_log,
-    premium_lognormal, premium_ncig, premium_nig, ratio_r,
+    nig_mgf_log, premium_lognormal, premium_ncig, premium_nig, ratio_r,
 )
 from levypremium.cli import REFERENCE_MODELS
 
@@ -85,6 +85,27 @@ class TestNigPremium:
         grid = np.linspace(0.0, feasible_crra_max(REF_NIG), 40)
         vals = [premium_nig(0.9, float(a), REF_NIG).log_premium for a in grid]
         assert all(v2 > v1 - 1e-15 for v1, v2 in zip(vals[:-1], vals[1:]))
+
+    @pytest.mark.parametrize("p", [
+        REF_NIG,
+        NigParams(mu=0.01, alpha=3.0, beta=1.5, delta=0.2),
+        NigParams(mu=-0.002, alpha=80.0, beta=-40.0, delta=0.05),
+        NigParams(mu=0.0, alpha=12.0, beta=0.0, delta=0.5),
+    ])
+    def test_pairwise_form_matches_mgf_composition(self, p):
+        # The composition's roundoff scales with the cancelled magnitude
+        # delta*gamma and grows like 1/r as a radical r approaches 0.
+        eps = float(np.finfo(float).eps)
+        g = p.gamma
+        for a in np.linspace(0.0, p.alpha + p.beta, 41):
+            a = float(a)
+            composed = (nig_mgf_log(p, 1.0) - nig_mgf_log(p, 1.0 - a)
+                        + nig_mgf_log(p, -a))
+            radicals = [math.sqrt((p.alpha - p.beta - s) * (p.alpha + p.beta + s))
+                        for s in (1.0, 1.0 - a, -a)]
+            conditioning = p.alpha ** 2 / max(min(radicals), 1e-300)
+            premium = premium_nig(0.97, a, p).log_premium
+            assert abs(premium - composed) <= 1e-12 + 64.0 * eps * p.delta * (g + conditioning)
 
 
 class TestNcigPremium:
@@ -170,6 +191,34 @@ class TestFeasibleCrraMax:
         a_exact = (nu + math.sqrt(nu ** 2 + 2.0 * s2 * q_max)) / s2
         assert feasible_crra_max(REF_NCIG) == pytest.approx(a_exact, rel=1e-9)
 
+    @pytest.mark.parametrize("model", [
+        REF_NIG,
+        NigParams(mu=0.0, alpha=3.0, beta=1.5, delta=0.2),
+        REF_NCIG,
+        NcigParams(lam=50.0, mu=0.9, nu=0.1, sigma2=1.0),    # outer radicand binds
+        NcigParams(lam=400.0, mu=40.0, nu=-0.2, sigma2=0.3),
+    ])
+    def test_closed_form_is_the_edge_of_the_domain(self, model):
+        if isinstance(model, NigParams):
+            a_exact = model.alpha + model.beta
+        else:
+            f = max(0.0, 1.0 - 1.0 / (2.0 * model.mu))
+            q_max = model.lam * (1.0 - f * f) / (2.0 * model.mu ** 2)
+            a_exact = (model.nu + math.sqrt(model.nu ** 2 + 2.0 * model.sigma2 * q_max)) \
+                / model.sigma2
+        a_max = feasible_crra_max(model)
+        assert a_max <= a_exact and a_max == pytest.approx(a_exact, rel=1e-13)
+        assert math.isfinite(log_premium(model, a_max))
+        with pytest.raises(DomainError):
+            log_premium(model, a_exact * (1.0 + 1e-9))
+
+    def test_nig_edge_is_exact(self):
+        assert feasible_crra_max(REF_NIG) == REF_NIG.alpha + REF_NIG.beta
+
+    def test_unit_argument_outside_domain(self):
+        with pytest.raises(DomainError, match="infeasible even at a = 0"):
+            feasible_crra_max(NigParams(mu=0.0, alpha=1.5, beta=0.5, delta=0.1))
+
 
 class TestCalibrate:
     def test_zero_target(self):
@@ -234,6 +283,20 @@ class TestCalibrate:
                             lambda model, a, b=0.5: math.sin(a))
         with pytest.raises(CalibrationError, match="not monotone"):
             prem.calibrate_crra(0.95, 0.97, REF_NIG)
+
+    def test_large_crra_returns(self):
+        # a = 1e6: the 1e-10 tolerance lies below the float spacing of a, so
+        # the bisection ends on adjacent floats.
+        model = NormalParams(mu=0.0, sigma=0.04)
+        a = calibrate_crra(1600.0, 0.97, model)
+        assert log_premium(model, math.nextafter(a, 0.0)) <= 1600.0 \
+            <= log_premium(model, math.nextafter(a, math.inf))
+
+    def test_grid_reaches_the_feasibility_edge(self):
+        model = NcigParams(lam=50.0, mu=0.9, nu=0.1, sigma2=1.0)
+        attainable = log_premium(model, feasible_crra_max(model))
+        a = calibrate_crra(attainable, 0.97, model)
+        assert a == pytest.approx(feasible_crra_max(model), abs=1e-9)
 
     def test_negative_target_rejected(self):
         with pytest.raises(CalibrationError):
