@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,10 +21,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import __version__
-from .data_io import (GrowthSeries, SeriesRecord, load_csv, log_growth,
+from .data_io import (PERIODS, GrowthSeries, SeriesRecord, load_csv, log_growth,
                       resample_monthly_locf, write_series_csv)
-from .errors import (CalibrationError, DataError, DomainError, GridError,
-                     InvalidParameterError, LevyPremiumError, QuadratureError)
+from .errors import CalibrationError, DataError, DomainError, LevyPremiumError
 from .estimation import FitResult, fit_ncig_ecf, fit_nig_mle, fit_normal_mle
 from .gof import frosini_test, ks_test_uniform, neyman_smooth_test, pit, qq_pp_data
 from .inversion import cdf_function, default_grid, invert_chf, quantile_function
@@ -49,6 +49,8 @@ REFERENCE_MODELS = {
 REFERENCE_CRRA = {"normal": 2582.6, "nig": 33.5, "ncig": 8.9626}
 REFERENCE_FORWARD_PREMIUM_PCT = 0.2223   # at a = 10, NIG reference parameters
 REFERENCE_ANNUAL_PREMIUM = 0.05894       # mean annual equity premium target
+# calibrate_crra's discount factor: the log premium does not depend on it.
+_DISCOUNT_FACTOR = 0.97
 
 _MODEL_TYPES = {"normal": NormalParams, "nig": NigParams, "ncig": NcigParams}
 
@@ -86,27 +88,10 @@ def model_cdf_quantile(params):
             return params.mu + params.sigma * ndtri(np.asarray(p, dtype=float))
 
         return cdf, quantile
-    if isinstance(params, NigParams):
-        density = invert_chf(lambda u: nig_chf(params, u), default_grid(nig_moments(params)))
-    else:
-        density = invert_chf(lambda u: ncig_chf(params, u), default_grid(ncig_moments(params)))
+    chf, moments = ((nig_chf, nig_moments) if isinstance(params, NigParams)
+                    else (ncig_chf, ncig_moments))
+    density = invert_chf(lambda u: chf(params, u), default_grid(moments(params)))
     return cdf_function(density), quantile_function(density)
-
-
-# ---------------------------------------------------------------------------
-# Config plumbing
-# ---------------------------------------------------------------------------
-
-def _parse_schema(text: str) -> dict:
-    schema = {}
-    for part in text.split(","):
-        if "=" not in part:
-            raise CliConfigError(f"bad schema fragment {part!r} (want date=COL,value=COL)")
-        key, col = part.split("=", 1)
-        schema[key.strip()] = col.strip()
-    if "date" not in schema or "value" not in schema:
-        raise CliConfigError("schema must define both date= and value=")
-    return schema
 
 
 def _read_json(path: str, what: str):
@@ -120,25 +105,7 @@ def _read_json(path: str, what: str):
         raise CliConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset CLI flags from the optional JSON config (flags override file)."""
-    if not getattr(args, "config", None):
-        return args
-    payload = _read_json(args.config, "config")
-    if not isinstance(payload, dict):
-        raise CliConfigError("config file must contain a JSON object")
-    for key, value in payload.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise CliConfigError(f"config key {key!r} is not a recognized flag")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
-
-
 def _load_growth(args) -> GrowthSeries:
-    if args.input is None:
-        raise CliConfigError("--input is required")
     if args.input_kind == "values":
         try:
             arr = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=1)
@@ -151,8 +118,8 @@ def _load_growth(args) -> GrowthSeries:
         return GrowthSeries(log_growth=arr, period=args.period)
     if args.schema is None:
         raise CliConfigError("--schema is required for dated CSV input")
-    records = load_csv(args.input, _parse_schema(args.schema))
-    if getattr(args, "resample", False):
+    records = load_csv(args.input, args.schema)
+    if args.resample:
         records = resample_monthly_locf(records)
     if args.input_kind == "levels":
         return log_growth(records, args.period)
@@ -185,11 +152,9 @@ def _fit_payload(fit: FitResult, seed) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args) -> int:
-    series = _load_growth(args)
-    data = series.log_growth
+    data = _load_growth(args).log_growth
     fit = _fit_model(args.model, data)
-    out = Path(args.out or ".")
-    _write_json(out / f"fit_{args.model}.json", _fit_payload(fit, args.seed))
+    _write_json(Path(args.out) / f"fit_{args.model}.json", _fit_payload(fit, args.seed))
     print(f"fit {args.model}: objective={fit.objective:.6f} "
           f"({fit.objective_kind}), converged={fit.converged}, "
           f"iterations={fit.iterations}")
@@ -197,44 +162,39 @@ def cmd_fit(args) -> int:
 
 
 def _fit_model(model: str, data) -> FitResult:
-    if model == "normal":
-        return fit_normal_mle(data)
-    if model == "nig":
-        return fit_nig_mle(data)
-    if model == "ncig":
-        return fit_ncig_ecf(data)
-    raise CliConfigError(f"unknown model {model!r}")
+    fitter = {"normal": fit_normal_mle, "nig": fit_nig_mle, "ncig": fit_ncig_ecf}[model]
+    return fitter(data)
+
+
+def _uniformity_tests(data, cdf):
+    """The PIT sample of ``data`` under ``cdf``, and its three uniformity tests."""
+    sample = pit(data, cdf)
+    return sample, [ks_test_uniform(sample), neyman_smooth_test(sample),
+                    frosini_test(sample)]
 
 
 def cmd_validate(args) -> int:
-    if args.fit is None:
-        raise CliConfigError("--fit is required")
     params = params_from_dict(_read_json(args.fit, "fit"))
-    series = _load_growth(args)
-    data = series.log_growth
-
+    data = _load_growth(args).log_growth
     cdf, quantile = model_cdf_quantile(params)
-    sample = pit(data, cdf)
-    reports = [ks_test_uniform(sample), neyman_smooth_test(sample), frosini_test(sample)]
+    sample, reports = _uniformity_tests(data, cdf)
     qq, pp = qq_pp_data(data, cdf, quantile)
     counts, edges = np.histogram(sample.values, bins=20, range=(0.0, 1.0))
 
-    out = Path(args.out or ".")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     tag = model_tag(params)
-    np.savetxt(out / f"qq_{tag}.csv", qq, delimiter=",",
-               header="theoretical_quantile,sorted_datum", comments="")
-    np.savetxt(out / f"pp_{tag}.csv", pp, delimiter=",",
-               header="uniform_probability,model_cdf", comments="")
-    np.savetxt(out / f"pit_histogram_{tag}.csv",
-               np.column_stack([edges[:-1], edges[1:], counts]), delimiter=",",
-               header="bin_left,bin_right,count", comments="")
-    (out / f"qq_{tag}.svg").write_text(
-        scatter_svg(qq[:, 0], qq[:, 1], title=f"Q-Q ({tag})"), encoding="utf-8")
-    (out / f"pp_{tag}.svg").write_text(
-        scatter_svg(pp[:, 0], pp[:, 1], title=f"P-P ({tag})"), encoding="utf-8")
-    (out / f"pit_histogram_{tag}.svg").write_text(
-        histogram_svg(counts, edges, title=f"PIT histogram ({tag})"), encoding="utf-8")
+    for name, table, header, svg in (
+            ("qq", qq, "theoretical_quantile,sorted_datum",
+             scatter_svg(qq[:, 0], qq[:, 1], title=f"Q-Q ({tag})")),
+            ("pp", pp, "uniform_probability,model_cdf",
+             scatter_svg(pp[:, 0], pp[:, 1], title=f"P-P ({tag})")),
+            ("pit_histogram", np.column_stack([edges[:-1], edges[1:], counts]),
+             "bin_left,bin_right,count",
+             histogram_svg(counts, edges, title=f"PIT histogram ({tag})"))):
+        np.savetxt(out / f"{name}_{tag}.csv", table, delimiter=",", header=header,
+                   comments="")
+        (out / f"{name}_{tag}.svg").write_text(svg, encoding="utf-8")
     _write_json(out / f"gof_{tag}.json", {
         "model": tag,
         "tests": [dataclasses.asdict(r) for r in reports],
@@ -246,8 +206,9 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _per_period_target(annual_target: float, period: str) -> float:
-    return annual_target / 12.0 if period == "monthly" else annual_target
+def _periods_per_year(period: str) -> float:
+    """Annualization factor of per-period log premia."""
+    return 12.0 if period == "monthly" else 1.0
 
 
 def cmd_calibrate(args) -> int:
@@ -261,22 +222,18 @@ def cmd_calibrate(args) -> int:
     if args.target_premium is not None:
         annual_target = args.target_premium
     elif args.equity_input and args.riskfree_input:
-        schema = _parse_schema(args.schema) if args.schema else {"date": "date",
-                                                                 "value": "value"}
-        equity = np.array([r.value for r in load_csv(args.equity_input, schema)])
-        riskfree = np.array([r.value for r in load_csv(args.riskfree_input, schema)])
+        equity = np.array([r.value for r in load_csv(args.equity_input, args.schema)])
+        riskfree = np.array([r.value for r in load_csv(args.riskfree_input, args.schema)])
         per_period = float(np.mean(equity) - np.mean(riskfree))
-        annual_target = per_period * (12.0 if args.period == "monthly" else 1.0)
+        annual_target = per_period * _periods_per_year(args.period)
     else:
         raise CliConfigError("--target-premium or both --equity-input and "
                              "--riskfree-input are required")
 
-    b = args.discount_factor if args.discount_factor is not None else 0.97
-    target = _per_period_target(annual_target, args.period)
+    target = annual_target / _periods_per_year(args.period)
     a_max = feasible_crra_max(params)
-    crra = calibrate_crra(target, b, params)
-    forward_as = [float(v) for v in (args.forward_a or "10").split(",")]
-    forward = {f"{a:g}": log_premium(params, a) for a in forward_as}
+    crra = calibrate_crra(target, _DISCOUNT_FACTOR, params)
+    forward = {f"{a:g}": log_premium(params, a) for a in args.forward_a}
 
     payload = {
         **params_to_dict(params),
@@ -287,8 +244,7 @@ def cmd_calibrate(args) -> int:
         "feasible_crra_interval": [0.0, a_max],
         "forward_log_premium_per_period": forward,
         "forward_log_premium_annualized": {
-            k: v * (12.0 if args.period == "monthly" else 1.0)
-            for k, v in forward.items()},
+            k: v * _periods_per_year(args.period) for k, v in forward.items()},
         "note": ("engine works in the period of the fitted parameters; "
                  "annualization multiplies log premia by 12 at this boundary"),
     }
@@ -302,30 +258,20 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.n is None or args.seed is None:
-        raise CliConfigError("--n and --seed are required")
-    if args.n < 0:
-        raise CliConfigError(f"--n must be >= 0 (got {args.n})")
     if args.fit is not None:
         params = params_from_dict(_read_json(args.fit, "fit"))
     elif args.reference is not None:
         params = REFERENCE_MODELS[args.reference]
     elif args.params_json is not None:
-        try:
-            payload = json.loads(args.params_json)
-        except ValueError as exc:
-            raise CliConfigError(f"--params-json is not valid JSON: {exc}") from exc
-        params = params_from_dict(payload)
+        params = params_from_dict(args.params_json)
     else:
         raise CliConfigError("--fit, --reference, or --params-json is required")
 
     draws = _simulate(params, args.n, args.seed)
-    out = Path(args.out or "simulated.csv")
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as handle:
-        handle.write("value\n")
-        for v in draws:
-            handle.write(f"{float(v)!r}\n")
+    out.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in draws),
+                   encoding="utf-8", newline="")
     print(f"wrote {draws.size} draws to {out}")
     return EXIT_OK
 
@@ -344,18 +290,14 @@ def _simulate(params, n: int, seed: int) -> np.ndarray:
 def cmd_repro(args) -> int:
     """Chain simulate -> fit -> validate -> calibrate against the bundled
     reference parameter sets and emit the side-by-side comparison report."""
-    out = Path(args.out or "repro_out")
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n = args.n if args.n is not None else 20000
-    seed = args.seed if args.seed is not None else 0
-    period = args.period
-    annual_target = (args.target_premium if args.target_premium is not None
-                     else REFERENCE_ANNUAL_PREMIUM)
-    target = _per_period_target(annual_target, period)
+    n, seed, period, annual_target = args.n, args.seed, args.period, args.target_premium
+    target = annual_target / _periods_per_year(period)
 
     rows = []
     gof_summary = {}
-    for tag in ("normal", "nig", "ncig"):
+    for tag in _MODEL_TYPES:
         truth = REFERENCE_MODELS[tag]
         data = _simulate(truth, n, seed)
         write_series_csv(out / f"sim_{tag}.csv",
@@ -365,19 +307,13 @@ def cmd_repro(args) -> int:
         _write_json(out / f"fit_{tag}.json", _fit_payload(fit, seed))
 
         cdf, _ = model_cdf_quantile(fit.params)
-        sample = pit(data, cdf)
-        gof_summary[tag] = {
-            rep.method: rep.p_value
-            for rep in (ks_test_uniform(sample), neyman_smooth_test(sample),
-                        frosini_test(sample))}
+        gof_summary[tag] = {r.method: r.p_value for r in _uniformity_tests(data, cdf)[1]}
 
-        calibrated = _calibrate_row(fit.params, target)
-        reference_calibrated = _calibrate_row(truth, target)
         rows.append({
             "model": tag,
             "fitted_params": dataclasses.asdict(fit.params),
-            "calibrated_crra_fitted_params": calibrated,
-            "calibrated_crra_reference_params": reference_calibrated,
+            "calibrated_crra_fitted_params": _calibrate_row(fit.params, target),
+            "calibrated_crra_reference_params": _calibrate_row(truth, target),
             "reference_crra": REFERENCE_CRRA[tag],
         })
 
@@ -393,7 +329,7 @@ def cmd_repro(args) -> int:
         "gof_p_values": gof_summary,
         "forward_premium_a10_reference_nig": {
             "per_period_pct": 100.0 * forward,
-            "annualized_pct": 100.0 * forward * (12.0 if period == "monthly" else 1.0),
+            "annualized_pct": 100.0 * forward * _periods_per_year(period),
             "reference_pct": REFERENCE_FORWARD_PREMIUM_PCT,
         },
         "note": ("reference CRRA values could not be reverse-engineered from the "
@@ -425,7 +361,7 @@ def _fmt(value) -> str:
 
 def _calibrate_row(params, target: float):
     try:
-        return calibrate_crra(target, 0.97, params)
+        return calibrate_crra(target, _DISCOUNT_FACTOR, params)
     except (CalibrationError, DomainError) as exc:
         return f"unattainable ({exc})"
 
@@ -440,58 +376,127 @@ def _fake_date(index: int):
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="levypremium",
-        description="Heavy-tailed growth models and equity-premium calibration")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _parse_schema(text: str) -> dict:
+    schema = {}
+    for part in text.split(","):
+        if "=" not in part:
+            raise argparse.ArgumentTypeError(
+                f"bad schema fragment {part!r} (want date=COL,value=COL)")
+        key, col = part.split("=", 1)
+        schema[key.strip()] = col.strip()
+    if "date" not in schema or "value" not in schema:
+        raise argparse.ArgumentTypeError("schema must define both date= and value=")
+    return schema
 
-    def common(p):
-        p.add_argument("--config", help="JSON config mirroring flags (flags override)")
-        p.add_argument("--model", choices=("normal", "nig", "ncig"))
-        p.add_argument("--input")
-        p.add_argument("--schema", help="date=COL,value=COL")
+
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"want an integer >= 0, got {text!r}")
+    return int(text)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"want a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list:
+    return [_finite_float(part) for part in text.split(",")]
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  It parses the flags of a ``--config`` file in
+    front of the command line's, so the command line wins."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        config = argparse.ArgumentParser(prog=self.prog, add_help=False, allow_abbrev=False)
+        config.add_argument("--config")
+        path = config.parse_known_args(args)[0].config
+        if path:
+            args = [*self._config_argv(path), *args]
+        return super().parse_known_args(args, namespace)
+
+    def _config_argv(self, path: str) -> list:
+        """The flags that the JSON object at ``path`` stands for: each key names
+        a flag, with ``-`` or ``_``; ``true`` gives the bare flag, ``false``
+        nothing, and any other scalar ``--flag=value`` (a value may start with
+        ``-``).  Any other key or value is a usage error."""
+        payload = _read_json(path, "config")
+        if not isinstance(payload, dict):
+            self.error(f"config {path} must hold a JSON object")
+        argv = []
+        for key, value in payload.items():
+            flag = "--" + key.replace("_", "-")
+            if flag not in self._option_string_actions or flag == "--config":
+                self.error(f"config key {key!r} is not a flag of {self.prog}")
+            if not isinstance(value, (str, int, float)):
+                self.error(f"config key {key!r}: {json.dumps(value)} is not a flag value")
+            if value is not False:
+                argv.append(flag if value is True else f"{flag}={value}")
+        return argv
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser; each subcommand declares exactly the flags it reads."""
+    parser = argparse.ArgumentParser(
+        prog="levypremium", allow_abbrev=False,
+        description="Heavy-tailed growth models and equity-premium calibration")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    models, schema_help = tuple(_MODEL_TYPES), "date=COL,value=COL"
+
+    def command(name, help, out):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.add_argument("--config", help="JSON object of flag values (flags override it)")
+        p.add_argument("--out", default=out)
+        return p
+
+    def period(p):
+        p.add_argument("--period", choices=PERIODS, default="monthly")
+
+    def inputs(p):
+        p.add_argument("--input", required=True)
         p.add_argument("--input-kind", choices=("levels", "log-growth", "values"),
-                       default="values",
-                       help="levels: prices to transform; log-growth: dated growth "
-                            "values; values: single value column, no dates")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--period", choices=("monthly", "annual"), default="monthly")
-        p.add_argument("--target-premium", type=float,
-                       help="annual log equity premium target")
-        p.add_argument("--discount-factor", type=float)
-        p.add_argument("--out")
+                       default="values", help="levels: dated prices; log-growth: dated "
+                                              "log growth; values: one undated column")
+        p.add_argument("--schema", type=_parse_schema, help=schema_help)
         p.add_argument("--resample", action="store_true",
                        help="fill monthly gaps by last observation carried forward")
+        period(p)
 
-    p_fit = sub.add_parser("fit", help="fit a growth model to a series")
-    common(p_fit)
+    p = command("fit", "fit a growth model to a series", ".")
+    p.add_argument("--model", choices=models, required=True)
+    inputs(p)
+    p.add_argument("--seed", type=_non_negative_int, help="recorded in the fingerprint")
 
-    p_val = sub.add_parser("validate", help="PIT, uniformity tests, Q-Q/P-P data")
-    common(p_val)
-    p_val.add_argument("--fit", help="fit result JSON")
+    p = command("validate", "PIT, uniformity tests, Q-Q/P-P data", ".")
+    p.add_argument("--fit", required=True, help="fit result JSON")
+    inputs(p)
 
-    p_cal = sub.add_parser("calibrate", help="calibrate CRRA from a premium target")
-    common(p_cal)
-    p_cal.add_argument("--fit", help="fit result JSON")
-    p_cal.add_argument("--reference", choices=("normal", "nig", "ncig"),
-                       help="use a bundled reference parameter set")
-    p_cal.add_argument("--equity-input", help="CSV of per-period equity log returns")
-    p_cal.add_argument("--riskfree-input", help="CSV of per-period risk-free log returns")
-    p_cal.add_argument("--forward-a", help="comma-separated CRRA values, default 10")
+    p = command("calibrate", "calibrate CRRA from a premium target", None)
+    p.add_argument("--fit", help="fit result JSON")
+    p.add_argument("--reference", choices=models, help="a bundled reference parameter set")
+    p.add_argument("--target-premium", type=_finite_float, help="annual log premium")
+    p.add_argument("--equity-input", help="CSV of per-period equity log returns")
+    p.add_argument("--riskfree-input", help="CSV of per-period risk-free log returns")
+    p.add_argument("--schema", type=_parse_schema, default="date=date,value=value",
+                   help=schema_help)
+    period(p)
+    p.add_argument("--forward-a", type=_finite_floats, default="10", help="CRRA list a1,a2,...")
 
-    p_sim = sub.add_parser("simulate", help="write model draws as CSV")
-    common(p_sim)
-    p_sim.add_argument("--fit", help="fit result JSON")
-    p_sim.add_argument("--reference", choices=("normal", "nig", "ncig"))
-    p_sim.add_argument("--params-json", help="inline {'model':..., 'params':...}")
-    p_sim.add_argument("--n", type=int)
+    p = command("simulate", "write model draws as CSV", "simulated.csv")
+    p.add_argument("--fit", help="fit result JSON")
+    p.add_argument("--reference", choices=models)
+    p.add_argument("--params-json", type=json.loads, help='{"model": ..., "params": {...}}')
+    p.add_argument("--n", type=_non_negative_int, required=True)
+    p.add_argument("--seed", type=_non_negative_int, required=True)
 
-    p_rep = sub.add_parser("repro", help="simulate->fit->validate->calibrate against "
-                                         "the bundled reference parameter sets")
-    common(p_rep)
-    p_rep.add_argument("--n", type=int)
-
+    p = command("repro", "simulate, fit, validate, calibrate the reference sets", "repro_out")
+    p.add_argument("--n", type=_non_negative_int, default=20000)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    period(p)
+    p.add_argument("--target-premium", type=_finite_float, default=REFERENCE_ANNUAL_PREMIUM)
     return parser
 
 
@@ -505,25 +510,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _merge_config(args)
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:   # from argparse: 0 after --help, 2 on a usage error
+        return exc.code
     except CliConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DataError as exc:
+    except (DataError, OSError) as exc:   # OSError: an output path that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (DomainError, InvalidParameterError, GridError, CalibrationError) as exc:
-        print(f"feasibility error: {exc}", file=sys.stderr)
-        return EXIT_FEASIBILITY
-    except QuadratureError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_FEASIBILITY
-    except LevyPremiumError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except LevyPremiumError as exc:   # domain, parameters, grid, calibration, quadrature
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
 
 

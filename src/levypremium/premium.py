@@ -40,8 +40,13 @@ class PremiumInputs:
     def __post_init__(self):
         if not 0.0 < self.b < 1.0:
             raise DomainError(f"discount factor must lie in (0, 1), got {self.b}")
-        if not self.a >= 0.0:
-            raise DomainError(f"CRRA must be nonnegative, got {self.a}")
+        _check_crra(self.a)
+
+
+def _check_crra(a: float) -> None:
+    """The premium is defined for a finite CRRA a >= 0 only."""
+    if not 0.0 <= a < math.inf:
+        raise DomainError(f"CRRA must be finite and nonnegative, got {a}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +69,7 @@ def _result(log_rf: float, log_premium_stable: float) -> PremiumResult:
 
 def premium_lognormal(b: float, a: float, p: NormalParams) -> PremiumResult:
     """Log-normal growth: log premium = a sigma^2."""
+    _check_crra(a)
     s2 = p.sigma ** 2
     log_rf = -math.log(b) - (-a * p.mu + 0.5 * a * a * s2)
     return _result(log_rf, a * s2)
@@ -72,6 +78,7 @@ def premium_lognormal(b: float, a: float, p: NormalParams) -> PremiumResult:
 def premium_nig(b: float, a: float, p: NigParams) -> PremiumResult:
     """Log-NIG growth.  Requires the MGF arguments 1, 1-a, -a all feasible:
     alpha^2 must exceed (beta+1)^2 and be at least (beta+1-a)^2 and (beta-a)^2."""
+    _check_crra(a)
     al, be, de = p.alpha, p.beta, p.delta
     rads = {}
     for arg, rad_name in ((1.0, "(beta + 1)"), (1.0 - a, "(beta + 1 - a)"),
@@ -98,6 +105,7 @@ def premium_ncig(b: float, a: float, p: NcigParams) -> PremiumResult:
     """Log-NCIG growth: log premium = g(1) - g(1-a) + g(-a) for g = ncig_mgf_log,
     which is (lam/mu)(1 + A1 - A2 - A3) with the nested radicals A1, A2, A3 at
     the MGF arguments 1-a, -a and 1."""
+    _check_crra(a)
     try:
         gma = ncig_mgf_log(p, -a)
         premium = ncig_mgf_log(p, 1.0) - ncig_mgf_log(p, 1.0 - a) + gma
@@ -181,10 +189,13 @@ def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel,
 
     Monotonicity of the premium in a is verified on a grid before bisecting;
     a target above the feasible maximum raises CalibrationError reporting the
-    attainable premium.  target = 0 returns the boundary solution a = 0.
+    attainable premium, as does a negative or non-finite target.  target = 0
+    returns the boundary solution a = 0.  ``b`` is not read: the log premium
+    does not depend on the discount factor.
     """
-    if target_log_premium < 0.0:
-        raise CalibrationError("target premium must be nonnegative")
+    if not 0.0 <= target_log_premium < math.inf:
+        raise CalibrationError(
+            f"target premium must be finite and nonnegative, got {target_log_premium}")
     if target_log_premium == 0.0:
         return 0.0
 

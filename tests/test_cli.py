@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from levypremium import cli
 from levypremium.cli import (EXIT_CONFIG, EXIT_FEASIBILITY, EXIT_IO, EXIT_OK,
                              REFERENCE_MODELS, main)
 
@@ -257,3 +258,129 @@ class TestRepro:
         table = (out / "repro_table.txt").read_text()
         assert "2582.6" in table and "33.5" in table and "8.9626" in table
         assert "0.2223" in table
+
+
+def command_parsers():
+    """Each subcommand's parser, by name."""
+    (action,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    return action.choices
+
+
+def declared_flags(parser):
+    return {opt for action in parser._actions for opt in action.option_strings} - {
+        "-h", "--help"}
+
+
+class TestFlagSets:
+    def test_each_command_declares_exactly_the_flags_it_reads(self):
+        # A flag that no command reads can come back only through this table.
+        inputs = {"--input", "--input-kind", "--schema", "--resample", "--period"}
+        assert {name: declared_flags(p) for name, p in command_parsers().items()} == {
+            "fit": {"--config", "--out", "--model", "--seed", *inputs},
+            "validate": {"--config", "--out", "--fit", *inputs},
+            "calibrate": {"--config", "--out", "--fit", "--reference", "--target-premium",
+                          "--equity-input", "--riskfree-input", "--schema", "--period",
+                          "--forward-a"},
+            "simulate": {"--config", "--out", "--fit", "--reference", "--params-json",
+                         "--n", "--seed"},
+            "repro": {"--config", "--out", "--n", "--seed", "--period", "--target-premium"},
+        }
+
+
+# A valid value for every flag, none of them a default; True is a bare switch.
+FLAG_VALUES = {
+    "--out": "elsewhere", "--model": "ncig", "--input": "in.csv", "--input-kind": "levels",
+    "--schema": "date=day,value=price", "--resample": True, "--period": "annual",
+    "--seed": "3", "--fit": "fit.json", "--reference": "ncig", "--target-premium": "-0.5",
+    "--equity-input": "equity.csv", "--riskfree-input": "riskfree.csv",
+    "--forward-a": "2,7.5", "--params-json": '{"model": "normal"}', "--n": "5",
+}
+REQUIRED = {"fit": {"--model": "nig", "--input": "x.csv"},
+            "validate": {"--fit": "f.json", "--input": "x.csv"},
+            "calibrate": {}, "simulate": {"--n": "1", "--seed": "1"}, "repro": {}}
+
+
+def flag_argv(flags):
+    return [token for flag, value in flags.items()
+            for token in ([flag] if value is True else [flag, value])]
+
+
+def parse(*argv):
+    return vars(cli._build_parser().parse_args(list(argv)))
+
+
+@pytest.mark.parametrize("spelling", ["-", "_"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, parser in command_parsers().items()
+    for flag in sorted(declared_flags(parser) - {"--config"})])
+def test_config_key_parses_like_its_flag(command, flag, spelling, tmp_path):
+    value = FLAG_VALUES[flag]
+    from_flags = parse(command, *flag_argv({**REQUIRED[command], flag: value}))
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({flag[2:].replace("-", spelling): value}))
+    rest = {f: v for f, v in REQUIRED[command].items() if f != flag}
+    from_config = parse(command, "--config", str(config), *flag_argv(rest))
+    assert from_config.pop("config") == str(config)
+    assert from_flags.pop("config") is None
+    assert from_config == from_flags
+    defaults = parse(command, *flag_argv(REQUIRED[command]))
+    assert defaults.pop("config") is None
+    assert from_flags != defaults
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("n", ["5", 5])
+    def test_config_n_is_an_int(self, n, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n": n}))
+        out = tmp_path / "draws.csv"
+        assert run("simulate", "--config", str(config), "--reference", "nig",
+                   "--seed", "1", "--out", str(out)) == EXIT_OK
+        assert np.loadtxt(out, skiprows=1).size == 5
+
+    @pytest.mark.parametrize("text", [
+        '{"n": "x"}', '{"n": -5}', '{"n": [5]}', '{"n": null}', '{"n": true}',
+        '{"n": 1, "seed": 1.5}', '{"n": 1, "config": "other.json"}',
+        '{"n": 1, "resample": true}', '{"n": 1, "modle": false}', '[1]'])
+    def test_bad_config_is_a_usage_error(self, text, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        out = tmp_path / "draws.csv"
+        assert run("simulate", "--config", str(config), "--reference", "nig",
+                   "--seed", "1", "--out", str(out)) == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_config_period_reaches_the_calibration(self, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"period": "annual"}))
+        assert run("calibrate", "--config", str(config), "--reference", "nig",
+                   "--target-premium", "0.05", "--out", str(tmp_path)) == EXIT_OK
+        assert read_json(tmp_path / "calibration_nig.json")["period"] == "annual"
+
+    @pytest.mark.parametrize("argv", [
+        ["calibrate", "--reference", "nig", "--target-premium", "0.05", "--forward-a", "abc"],
+        ["calibrate", "--reference", "nig", "--target-premium", "0.05",
+         "--forward-a", "10,nan"],
+        ["calibrate", "--reference", "nig", "--target-premium", "nan"],
+        ["calibrate", "--reference", "nig", "--target-premium", "0.05",
+         "--discount-factor", "0.5"],
+        ["repro", "--n", "-5"],
+        ["simulate", "--reference", "nig", "--n", "5", "--seed", "-1"],
+        ["validate", "--model", "nig", "--fit", "fit.json", "--input", "x.csv"],
+        ["fit", "--mod", "nig", "--input", "x.csv"],
+    ])
+    def test_usage_error(self, argv, tmp_path):
+        assert run(*argv, "--out", str(tmp_path / "out")) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--reference", "nig", "--n", "5", "--seed", "1"],
+        ["calibrate", "--reference", "nig", "--target-premium", "0.05"]])
+    def test_unwritable_out_is_an_io_error(self, command, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(*command, "--out", str(blocker / "out")) == EXIT_IO
+
+    def test_negative_forward_crra_is_a_domain_error(self):
+        assert run("calibrate", "--reference", "ncig", "--target-premium", "0.05",
+                   "--forward-a", "10,-1") == EXIT_FEASIBILITY

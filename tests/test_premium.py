@@ -215,6 +215,12 @@ class TestFeasibleCrraMax:
     def test_nig_edge_is_exact(self):
         assert feasible_crra_max(REF_NIG) == REF_NIG.alpha + REF_NIG.beta
 
+    @pytest.mark.parametrize("model", [REF_NORMAL, REF_NIG, REF_NCIG])
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_crra_outside_domain_raises(self, model, a):
+        with pytest.raises(DomainError, match="CRRA must be finite and nonnegative"):
+            log_premium(model, a)
+
     def test_unit_argument_outside_domain(self):
         with pytest.raises(DomainError, match="infeasible even at a = 0"):
             feasible_crra_max(NigParams(mu=0.0, alpha=1.5, beta=0.5, delta=0.1))
@@ -301,6 +307,12 @@ class TestCalibrate:
     def test_negative_target_rejected(self):
         with pytest.raises(CalibrationError):
             calibrate_crra(-0.01, 0.97, REF_NIG)
+
+    @pytest.mark.parametrize("model", [REF_NORMAL, REF_NIG, REF_NCIG])
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_non_finite_target_rejected(self, model, target):
+        with pytest.raises(CalibrationError, match="finite"):
+            calibrate_crra(target, 0.97, model)
 
 
 class TestPremiumInputs:
