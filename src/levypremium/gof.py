@@ -1,9 +1,13 @@
 """Goodness-of-fit machinery: probability integral transform, uniformity
 tests (Kolmogorov-Smirnov, Neyman smooth, Frosini), and Q-Q / P-P plot data.
 
-Monte-Carlo null distributions (Frosini always; KS for n <= 100) use 1e5
-uniform replicates under a fixed master seed and are cached per sample size,
-so repeated calls at the same n reuse the null sample.
+Monte-Carlo null distributions (KS for n <= 100, Frosini for n <= 200) use
+1e5 uniform replicates under a fixed master seed and are cached per sample
+size, so repeated calls at the same n reuse the null sample. Above those sizes
+the p-values come from the limit laws of the Brownian bridge B: sup|B| for KS
+(Kolmogorov) and int_0^1 |B(t)| dt for Frosini (Shepp 1982; Johnson & Killeen
+1983). Neyman's statistic is referred to its chi-square limit. Each report
+names the source of its null.
 
 Note on composite hypotheses: when the tested CDF carries parameters estimated
 from the same data, these p-values are conservative (uncorrected); they are
@@ -15,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate, special
 from scipy.stats import chi2
 
 from .errors import DataError, InvalidParameterError
@@ -26,6 +31,8 @@ __all__ = [
 
 _MC_REPLICATES = 100_000
 _MC_MASTER_SEED = 741852963
+_KS_MC_MAX_N = 100
+_FROSINI_MC_MAX_N = 200
 _null_cache: dict = {}
 
 
@@ -46,12 +53,15 @@ class PitSample:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Statistic, p-value, and method tag of one uniformity test."""
+    """Statistic, p-value, and method tag of one uniformity test; ``null``
+    names where the null distribution came from: "monte-carlo", "asymptotic"
+    or "chi-square"."""
 
     statistic: float
     p_value: float
     method: str
     n: int
+    null: str
 
     def __post_init__(self):
         if not 0.0 <= self.p_value <= 1.0:
@@ -61,6 +71,8 @@ class TestReport:
 def pit(data, cdf) -> PitSample:
     """Element-wise CDF evaluation; uniform on (0,1) under a correct model."""
     arr = np.asarray(data, dtype=float)
+    if arr.size == 0:
+        raise DataError("no observations to transform")
     vals = np.asarray(cdf(arr), dtype=float)
     if np.any((vals < 0.0) | (vals > 1.0)) or np.any(~np.isfinite(vals)):
         raise DataError("CDF returned value outside [0, 1]")
@@ -84,18 +96,60 @@ def _frosini_rows(u: np.ndarray) -> np.ndarray:
 _MC_STATISTICS = {"ks": (1, _ks_rows), "frosini": (2, _frosini_rows)}
 
 
-def _kolmogorov_sf(t: float) -> float:
-    """P(sup|B(u)| > t) for the Brownian bridge: 2 sum (-1)^{k-1} e^{-2 k^2 t^2}."""
-    if t <= 0.0:
-        return 1.0
-    total, sign = 0.0, 1.0
-    for k in range(1, 101):
-        term = np.exp(-2.0 * k * k * t * t)
-        total += sign * term
-        sign = -sign
-        if term < 1e-16:
-            break
-    return float(min(max(2.0 * total, 0.0), 1.0))
+# xi = int_0^1 |B(t)| dt, the limit in law of the Frosini statistic. Shepp
+# (1982): with a'_j the zeros of Ai' and b_j = 2^(-1/3) |a'_j|,
+#   E exp(-s xi) = sqrt(2 pi) 2^(-2/3) s^(1/3) sum_j exp(-b_j s^(2/3)) / |a'_j|.
+# Inverting E exp(-s xi) / s term by term with g, the one-sided 2/3-stable
+# density (Laplace transform exp(-s^(2/3))), gives
+#   P(xi <= x) = sqrt(2 pi) 2^(-2/3) sum_j H(x / b_j^(3/2)) / (|a'_j| sqrt(b_j)),
+#   H(y) = (2/3) y^(-1/3) int_0^y w^(-2/3) g(w) dw,
+#   g(w) = sqrt(3/pi) w^(-1) e^(-z) z^(2/3) U(1/6, 4/3; z),  z = 4 / (27 w^2).
+_L1_SCALE = np.sqrt(2.0 * np.pi) * 2.0 ** (-2.0 / 3.0)
+# w^(-2/3) g(w) < 1e-22 for w below this, so H's integral starts there and
+# the terms with x / b_j^(3/2) below it vanish.
+_L1_W_MIN = 0.05
+# Below this Kolmogorov bound (x > 4.46) the series is skipped.
+_L1_SF_MIN = 1e-17
+
+
+def _airy_prime_zeros(k: int) -> np.ndarray:
+    """|a'_j|, j = 1..k, polished by one Newton step (Ai'' = x Ai):
+    ``ai_zeros`` alone is off by up to 2.5e-13 relative (j = 5)."""
+    a = special.ai_zeros(k)[1]
+    ai, aip, _, _ = special.airy(a)
+    return -(a - aip / (a * ai))
+
+
+# The series needs 27 zeros at x = 4.46, where it is skipped; 32 reach x = 5.2.
+_AIRY_ABS = _airy_prime_zeros(32)
+_AIRY_B = _AIRY_ABS / np.cbrt(2.0)
+
+
+def _bridge_l1_integrand(w):
+    """w^(-2/3) g(w), g the one-sided 2/3-stable density."""
+    z = 4.0 / (27.0 * w * w)
+    return (np.sqrt(3.0 / np.pi) * w ** (-5.0 / 3.0) * np.exp(-z) * z ** (2.0 / 3.0)
+            * special.hyperu(1.0 / 6.0, 4.0 / 3.0, z))
+
+
+def _bridge_l1_cdf(x: float) -> float:
+    """P(int_0^1 |B(t)| dt <= x) for the Brownian bridge B, to about 1e-15."""
+    keep = _AIRY_B ** 1.5 < x / _L1_W_MIN
+    b, a = _AIRY_B[keep], _AIRY_ABS[keep]
+    y = x / b ** 1.5                      # decreasing in j
+    # int_{W_MIN}^{y_j} as sums of the pieces between successive y's
+    pieces = [integrate.quad(_bridge_l1_integrand, lo, hi, epsabs=1e-17, epsrel=1e-12)[0]
+              for lo, hi in zip(np.append(y[1:], _L1_W_MIN), y)]
+    inner = np.cumsum(pieces[::-1])[::-1]
+    return float(_L1_SCALE * np.sum(2.0 / 3.0 * y ** (-1.0 / 3.0) * inner / (a * np.sqrt(b))))
+
+
+def _bridge_l1_sf(x: float) -> float:
+    """P(int_0^1 |B(t)| dt > x), capped by P(sup|B| > x), which bounds it."""
+    bound = float(special.kolmogorov(x))
+    if bound < _L1_SF_MIN:
+        return bound
+    return min(max(1.0 - _bridge_l1_cdf(x), 0.0), bound)
 
 
 def _mc_null(kind: str, n: int) -> np.ndarray:
@@ -132,11 +186,11 @@ def ks_test_uniform(s: PitSample) -> TestReport:
     if n < 8:
         raise DataError("KS test requires n >= 8")
     d = float(_ks_rows(u))
-    if n > 100:
-        p = _kolmogorov_sf(np.sqrt(n) * d)
+    if n > _KS_MC_MAX_N:
+        p, null = float(special.kolmogorov(np.sqrt(n) * d)), "asymptotic"
     else:
-        p = _mc_p_value(_mc_null("ks", n), d)
-    return TestReport(statistic=d, p_value=p, method="KS", n=n)
+        p, null = _mc_p_value(_mc_null("ks", n), d), "monte-carlo"
+    return TestReport(statistic=d, p_value=p, method="KS", n=n, null=null)
 
 
 def neyman_smooth_test(s: PitSample, order: int = 4) -> TestReport:
@@ -158,19 +212,31 @@ def neyman_smooth_test(s: PitSample, order: int = 4) -> TestReport:
         pi_j = np.sqrt(2.0 * j + 1.0) * np.polynomial.legendre.legval(y, coeffs)
         stat += (pi_j.sum() / np.sqrt(n)) ** 2
     p = float(chi2.sf(stat, df=order))
-    return TestReport(statistic=float(stat), p_value=p, method="Neyman", n=n)
+    return TestReport(statistic=float(stat), p_value=p, method="Neyman", n=n,
+                      null="chi-square")
 
 
 def frosini_test(s: PitSample) -> TestReport:
-    """Frosini statistic B_n = n^{-1/2} sum_i |u_(i) - (i - 0.5)/n| with a
-    Monte-Carlo p-value (1e5 uniform replicates, fixed seed)."""
+    """Frosini statistic B_n = n^{-1/2} sum_i |u_(i) - (i - 0.5)/n|.
+
+    For n <= 200 the p-value comes from a Monte-Carlo null (1e5 uniform
+    replicates, fixed seed). Above it comes from the limit law of B_n, the L1
+    norm int_0^1 |B(t)| dt of the Brownian bridge, whose CDF is a series over
+    the zeros of Ai' (Shepp 1982; Johnson & Killeen 1983). That tail is capped
+    by the Kolmogorov tail, an upper bound, and carries an absolute error of
+    about 1e-15. The crossover is where the two p-values agree within
+    Monte-Carlo error.
+    """
     u = np.sort(s.values)
     n = u.size
     if n < 8:
         raise DataError("Frosini test requires n >= 8")
     stat = float(_frosini_rows(u))
-    p = _mc_p_value(_mc_null("frosini", n), stat)
-    return TestReport(statistic=stat, p_value=p, method="Frosini", n=n)
+    if n > _FROSINI_MC_MAX_N:
+        p, null = _bridge_l1_sf(stat), "asymptotic"
+    else:
+        p, null = _mc_p_value(_mc_null("frosini", n), stat), "monte-carlo"
+    return TestReport(statistic=stat, p_value=p, method="Frosini", n=n, null=null)
 
 
 def qq_pp_data(data, cdf, quantile) -> tuple[np.ndarray, np.ndarray]:

@@ -92,6 +92,39 @@ def nig_chf_mp(mu: float, alpha: float, beta: float, delta: float,
                               + d * (g - mp.sqrt(a * a - (b + 1j * tt) ** 2))))
 
 
+def frosini_asymptotic_cdf_mp(x: float, dps: int = 20) -> mp.mpf:
+    """P(xi <= x) for xi = int_0^1 |B(t)| dt of the Brownian bridge, in mpmath
+    arithmetic: the Airy-zero series of Shepp's Laplace transform,
+    sqrt(2 pi) 2^(-2/3) sum_j H(x / b_j^(3/2)) / (|a'_j| sqrt b_j) with
+    b_j = 2^(-1/3) |a'_j|, H(y) = (2/3) y^(-1/3) int_0^y w^(-2/3) g(w) dw and g
+    the one-sided 2/3-stable density written with Tricomi's U.
+
+    The integrand is below 10^-(dps+10) for w < w0, so each integral starts
+    at w0 and the series ends at the first term whose upper limit is below it.
+    """
+    with mp.workdps(dps + 10):
+        third = mp.mpf(1) / 3
+        xv = mp.mpf(x)
+        w0 = mp.sqrt(4 / (27 * (dps + 10) * mp.log(10)))
+
+        def integrand(w):
+            z = 4 / (27 * w * w)
+            return (mp.sqrt(3 / mp.pi) * w ** (-5 * third) * mp.exp(-z) * z ** (2 * third)
+                    * mp.hyperu(third / 2, 4 * third, z))
+
+        total = mp.mpf(0)
+        j = 1
+        while True:
+            ap = -mp.airyaizero(j, derivative=1)
+            b = ap / mp.cbrt(2)
+            y = xv / b ** mp.mpf(1.5)
+            if y <= w0:
+                break
+            total += 2 * third * y ** (-third) * mp.quad(integrand, [w0, y]) / (ap * mp.sqrt(b))
+            j += 1
+        return +(mp.sqrt(2 * mp.pi) * mp.mpf(2) ** (-2 * third) * total)
+
+
 def quadrature_cdf(pdf, lower: float, grid: np.ndarray) -> np.ndarray:
     """Cumulative quadrature of a density over successive grid segments."""
     out = np.empty(grid.size)

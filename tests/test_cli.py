@@ -208,6 +208,36 @@ class TestValidate:
         assert ks_norm["p_value"] < ks_nig["p_value"]
 
 
+def write_normal_fit(path):
+    path.write_text(json.dumps(cli.params_to_dict(REFERENCE_MODELS["normal"])),
+                    encoding="utf-8")
+    return path
+
+
+class TestValidateReport:
+    def test_empty_input_is_data_error(self, tmp_path):
+        fit_path = write_normal_fit(tmp_path / "fit.json")
+        for name, text in (("empty.csv", "value\n"), ("one.csv", "value\n0.01\n")):
+            (tmp_path / name).write_text(text)
+            assert run("validate", "--fit", str(fit_path), "--input", str(tmp_path / name),
+                       "--out", str(tmp_path / "out")) == EXIT_IO
+
+    def test_each_test_names_its_null_and_reruns_byte_identical(self, tmp_path):
+        fit_path = write_normal_fit(tmp_path / "fit.json")
+        data_csv = tmp_path / "data.csv"
+        run("simulate", "--reference", "normal", "--n", "5000", "--seed", "4",
+            "--out", str(data_csv))
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        for out in (out_a, out_b):
+            assert run("validate", "--fit", str(fit_path), "--input", str(data_csv),
+                       "--out", str(out)) == EXIT_OK
+        report = read_json(out_a / "gof_normal.json")
+        assert {t["method"]: t["null"] for t in report["tests"]} == {
+            "KS": "asymptotic", "Neyman": "chi-square", "Frosini": "asymptotic"}
+        assert (out_a / "gof_normal.json").read_bytes() == \
+            (out_b / "gof_normal.json").read_bytes()
+
+
 class TestCalibrate:
     def test_forward_premium_normal_model(self, tmp_path):
         fit_file = tmp_path / "fit.json"

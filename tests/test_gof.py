@@ -2,10 +2,14 @@
 power, and PIT / Q-Q / P-P behavior."""
 
 import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
+from levypremium import gof
 from levypremium import (
     DataError, PitSample, cdf_function, default_grid, fit_nig_mle,
     fit_normal_mle, frosini_test, invert_chf, ks_test_uniform,
@@ -14,8 +18,11 @@ from levypremium import (
 )
 from levypremium.cli import REFERENCE_MODELS
 
+from oracles import frosini_asymptotic_cdf_mp
+
 REF_NIG = REFERENCE_MODELS["nig"]
 LEVEL_SEED_FAMILY = 202608
+FROSINI_ORACLE_CSV = Path(__file__).parent / "data" / "frosini_asymptotic_oracle.csv"
 
 
 def uniform_sample(seed: int, n: int) -> PitSample:
@@ -49,6 +56,13 @@ class TestKs:
         u = (np.arange(1, n + 1) - 0.5) / n
         rep = ks_test_uniform(PitSample(values=u))
         assert rep.statistic == pytest.approx(0.5 / n, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1000, 10_000, 100_000])
+    def test_equispaced_large_n_p_is_one(self, n):
+        # sqrt(n) D_n = 1/(2 sqrt(n)) is far below where the Kolmogorov tail
+        # leaves 1; a truncated alternating series read 0.049 at n = 1e5.
+        u = (np.arange(1, n + 1) - 0.5) / n
+        assert ks_test_uniform(PitSample(values=u)).p_value == 1.0
 
     def test_degenerate_sample_tiny_p(self):
         rep = ks_test_uniform(PitSample(values=np.full(1000, 0.5)))
@@ -135,6 +149,89 @@ class TestMonteCarloNulls:
         u = uniform_sample(7, n)
         assert ks_test_uniform(u).p_value == (ks_exceed + 1) / 100_001
         assert frosini_test(u).p_value == (frosini_exceed + 1) / 100_001
+
+
+def is_monte_carlo_p(p: float) -> bool:
+    """p has the Monte-Carlo form (k + 1) / (1e5 + 1)."""
+    return p == (round(p * 100_001 - 1) + 1) / 100_001
+
+
+class TestFrosiniAsymptotic:
+    """Above n = 200 the Frosini p-value comes from the limit law of B_n, the
+    L1 norm of the Brownian bridge."""
+
+    def test_cdf_against_frozen_mpmath_oracle(self):
+        x, truth = np.loadtxt(FROSINI_ORACLE_CSV, delimiter=",", skiprows=1, unpack=True)
+        got = np.array([gof._bridge_l1_cdf(t) for t in x])
+        assert np.max(np.abs(got - truth)) <= 1e-10
+
+    def test_frozen_oracle_matches_live_mpmath(self):
+        x, truth = np.loadtxt(FROSINI_ORACLE_CSV, delimiter=",", skiprows=1, unpack=True)
+        i = int(np.argmin(np.abs(truth - 0.5)))
+        assert float(frosini_asymptotic_cdf_mp(x[i])) == pytest.approx(truth[i], abs=1e-15)
+
+    def test_mean_is_sqrt_pi_over_32(self):
+        # E xi = int_0^1 E|B(t)| dt = sqrt(pi/32); the tail beyond 4.5 is below 1e-50.
+        mean, _ = integrate.quad(lambda t: 1.0 - gof._bridge_l1_cdf(t), 0.0, 4.5, limit=200)
+        assert mean == pytest.approx(math.sqrt(math.pi / 32.0), abs=1e-8)
+
+    def test_agrees_with_monte_carlo_at_n_500(self):
+        null = gof._mc_null("frosini", 500)
+        for s in range(50):
+            rep = frosini_test(uniform_sample(s, 500))
+            assert rep.null == "asymptotic"
+            assert abs(rep.p_value - gof._mc_p_value(null, rep.statistic)) <= 0.01
+
+    def test_p_value_shape(self):
+        x = np.linspace(0.0, 6.0, 601)
+        p = np.array([gof._bridge_l1_sf(t) for t in x])
+        assert p[0] == 1.0
+        assert np.all((p >= 0.0) & (p <= 1.0))
+        # Nonincreasing up to the rounding of F near 1, which sets the tail's
+        # resolution (about 1e-15).
+        assert np.all(np.diff(p) <= 1e-15)
+        assert np.all(np.diff(p)[p[1:] > 1e-12] <= 0.0)
+        # xi <= sup|B|, so the Kolmogorov tail bounds p.
+        assert np.all(p <= 2.0 * np.exp(-2.0 * x * x) * (1.0 + 1e-12))
+
+    def test_statistic_zero_and_all_ones_at_n_5000(self):
+        n = 5000
+        spaced = frosini_test(PitSample(values=(np.arange(1, n + 1) - 0.5) / n))
+        assert spaced.statistic == pytest.approx(0.0, abs=1e-12)
+        assert spaced.p_value == 1.0
+        ones = frosini_test(PitSample(values=np.ones(n)))
+        assert ones.null == "asymptotic"
+        assert 0.0 <= ones.p_value <= 1.0
+
+    def test_deterministic(self):
+        u = uniform_sample(3, 1000)
+        assert frosini_test(u) == frosini_test(u)
+
+    def test_crossover_at_200(self):
+        at, above = frosini_test(uniform_sample(7, 200)), frosini_test(uniform_sample(7, 201))
+        assert (at.null, above.null) == ("monte-carlo", "asymptotic")
+        assert is_monte_carlo_p(at.p_value)
+        assert not is_monte_carlo_p(above.p_value)
+
+    def test_n_1e5_is_fast(self):
+        u = uniform_sample(0, 100_000)
+        start = time.perf_counter()
+        rep = frosini_test(u)
+        assert time.perf_counter() - start < 1.0
+        assert rep.null == "asymptotic"
+
+
+class TestNullSource:
+    def test_each_report_names_its_null(self):
+        small, large = uniform_sample(1, 100), uniform_sample(1, 101)
+        assert ks_test_uniform(small).null == "monte-carlo"
+        assert ks_test_uniform(large).null == "asymptotic"
+        assert neyman_smooth_test(small).null == "chi-square"
+        assert frosini_test(small).null == "monte-carlo"
+
+    def test_empty_data_is_a_data_error(self):
+        with pytest.raises(DataError):
+            pit(np.array([]), lambda x: x)
 
 
 class TestJointSelfConsistency:
