@@ -18,10 +18,10 @@ from .models import (DoubleIgParams, IgParams, Moments, NcigParams, NigParams,
 from .special import bessel_k1, bessel_k1e, log_bessel_k1, std_normal_cdf
 from .inversion import (GriddedDensity, InversionGrid, cdf_function, default_grid,
                         invert_chf, log_likelihood_from_grid, quantile_function)
-from .estimation import (EcfObjectiveConfig, FitResult, apply_selection_rule,
-                         bootstrap_se, default_ecf_config, ecf_objective,
-                         fit_ncig_ecf, fit_nig_mle, fit_normal_mle,
-                         moment_init_ncig, moment_init_nig, normal_log_likelihood)
+from .estimation import (FitResult, apply_selection_rule, bootstrap_se,
+                         default_ecf_config, ecf_objective, fit_ncig_ecf,
+                         fit_nig_mle, fit_normal_mle, moment_init_ncig,
+                         moment_init_nig, normal_log_likelihood)
 from .gof import (PitSample, TestReport, frosini_test, ks_test_uniform,
                   neyman_smooth_test, pit, qq_pp_data)
 from .premium import (PremiumInputs, PremiumResult, calibrate_crra,

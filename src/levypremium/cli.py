@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,9 @@ def _read_json(path: str, what: str):
 def _load_growth(args) -> GrowthSeries:
     if args.input_kind == "values":
         try:
-            arr = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=1)
+            with warnings.catch_warnings():   # no rows: a DataError downstream says so
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                arr = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=1)
         except OSError as exc:
             raise DataError(f"cannot open {args.input}: {exc}") from exc
         except ValueError as exc:

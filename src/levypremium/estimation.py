@@ -24,7 +24,7 @@ from .models import (NcigParams, NigParams, NigShape, NormalParams, ncig_chf,
                      ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf)
 
 __all__ = [
-    "FitResult", "EcfObjectiveConfig",
+    "FitResult",
     "fit_normal_mle", "fit_nig_mle", "moment_init_nig",
     "ecf_objective", "default_ecf_config", "fit_ncig_ecf", "moment_init_ncig",
     "apply_selection_rule", "bootstrap_se", "normal_log_likelihood",
@@ -36,6 +36,7 @@ _FATOL = 1e-9
 _SNAP = 1e-6            # NIG skew coordinates this small are tried at 0
 _BOUNDARY_NATS = 1e-7   # NIG parameters stand in for a boundary law to this
 _ECF_JITTER_SEED = 60481
+_ECF_NODES = 20         # ECF frequency nodes on each side of 0
 ModelParams = Union[NormalParams, NigParams, NcigParams]
 
 
@@ -245,28 +246,6 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
 # ECF machinery
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EcfObjectiveConfig:
-    """Frequency nodes and weights of the weighted-squared ECF distance."""
-
-    u_grid: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u_grid, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if u.ndim != 1 or u.size == 0 or np.any(np.diff(u) <= 0.0):
-            raise InvalidParameterError("u_grid must be strictly increasing")
-        if np.any(u == 0.0):
-            raise InvalidParameterError("u_grid must exclude 0")
-        if not np.allclose(u, -u[::-1], rtol=0.0, atol=1e-12 * np.max(np.abs(u))):
-            raise InvalidParameterError("u_grid must be symmetric about 0")
-        if w.shape != u.shape or np.any(~np.isfinite(w)) or np.any(w <= 0.0):
-            raise InvalidParameterError("weights must be positive, finite, one per node")
-        object.__setattr__(self, "u_grid", u)
-        object.__setattr__(self, "weights", w)
-
-
 def _ecf_values(data: np.ndarray, u: np.ndarray, block: int = 20000) -> np.ndarray:
     """Empirical characteristic function (1/n) sum_k exp(i u x_k), blocked."""
     total = np.zeros(u.size, dtype=complex)
@@ -277,17 +256,20 @@ def _ecf_values(data: np.ndarray, u: np.ndarray, block: int = 20000) -> np.ndarr
     return total / n
 
 
-def ecf_objective(model_chf, data, cfg: EcfObjectiveConfig) -> float:
-    """Weighted squared distance sum_j w_j |ecf(u_j) - chf(u_j)|^2."""
+def ecf_objective(model_chf, data, nodes: tuple[np.ndarray, np.ndarray]) -> float:
+    """Weighted squared distance sum_j w_j |ecf(u_j) - chf(u_j)|^2 over the
+    (u_grid, weights) pair ``nodes`` of ``default_ecf_config``."""
+    u_grid, weights = nodes
     arr = np.asarray(data, dtype=float)
-    ecf = _ecf_values(arr, cfg.u_grid)
-    model = np.asarray(model_chf(cfg.u_grid), dtype=complex)
-    return float(np.sum(cfg.weights * np.abs(ecf - model) ** 2))
+    ecf = _ecf_values(arr, u_grid)
+    model = np.asarray(model_chf(u_grid), dtype=complex)
+    return float(np.sum(weights * np.abs(ecf - model) ** 2))
 
 
-def default_ecf_config(data, n_positive: int = 20) -> EcfObjectiveConfig:
-    """Default grid: ``n_positive`` nodes equally spaced in (0, u_max] mirrored
-    to negatives, u_max located where |ECF| ~ 0.1, weights exp(-u^2)."""
+def default_ecf_config(data) -> tuple[np.ndarray, np.ndarray]:
+    """ECF nodes and weights (u_grid, weights): _ECF_NODES nodes equally
+    spaced in (0, u_max] mirrored to negatives, u_max located where
+    |ECF| ~ 0.1, weights exp(-u^2)."""
     arr = np.asarray(data, dtype=float)
     sd = float(np.std(arr))
     if sd <= 0.0:
@@ -308,11 +290,11 @@ def default_ecf_config(data, n_positive: int = 20) -> EcfObjectiveConfig:
         else:
             hi = mid
     u_max = 0.5 * (lo + hi)
-    pos = np.linspace(u_max / n_positive, u_max, n_positive)
+    pos = np.linspace(u_max / _ECF_NODES, u_max, _ECF_NODES)
     grid = np.concatenate([-pos[::-1], pos])
     with np.errstate(under="ignore"):
         weights = np.maximum(np.exp(-grid ** 2), 1e-300)
-    return EcfObjectiveConfig(u_grid=grid, weights=weights)
+    return grid, weights
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +390,14 @@ def _fallback_init_ncig(target: np.ndarray) -> NcigParams:
 
 
 def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
-                 cfg: Optional[EcfObjectiveConfig] = None,
                  n_starts: int = 8,
                  compute_log_likelihood: bool = True) -> FitResult:
     """NCIG fit minimizing the weighted ECF distance by simplex search from a
     method-of-moments start plus deterministically jittered restarts.
 
-    When ``cfg`` is omitted the data are rescaled to unit standard deviation
-    internally (the NCIG family is closed under scaling) so the default
-    exp(-u^2) node weights act at their design scale.  After each start
+    The data are rescaled to unit standard deviation internally (the NCIG
+    family is closed under scaling) so the exp(-u^2) node weights of
+    ``default_ecf_config`` act at their design scale.  After each start
     converges, the FFT-based log-likelihood of the original data is computed
     and the start with the largest likelihood is selected; a fit whose
     likelihood trails a NIG baseline is flagged by ``apply_selection_rule``,
@@ -426,31 +407,25 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
     if arr.size < 16:
         raise DataError("NCIG ECF fit requires at least 16 observations")
 
-    if cfg is None:
-        scale = float(np.std(arr))
-        if scale <= 0.0:
-            raise DataError("degenerate data: zero sample variance")
-        fit_data = arr / scale
-        fit_cfg = default_ecf_config(fit_data)
-    else:
-        scale = 1.0
-        fit_data = arr
-        fit_cfg = cfg
+    scale = float(np.std(arr))
+    if scale <= 0.0:
+        raise DataError("degenerate data: zero sample variance")
+    fit_data = arr / scale
+    u_grid, weights = default_ecf_config(fit_data)
 
     if init is not None:
         init_scaled = _scale_ncig(init, 1.0 / scale)
     else:
         init_scaled = moment_init_ncig(fit_data)
-    init_x = _scale_ncig(init_scaled, scale)
 
-    ecf = _ecf_values(fit_data, fit_cfg.u_grid)
+    ecf = _ecf_values(fit_data, u_grid)
 
     def objective(theta):
         try:
-            model = ncig_chf(_ncig_from_theta(theta), fit_cfg.u_grid)
+            model = ncig_chf(_ncig_from_theta(theta), u_grid)
         except InvalidParameterError:
             return np.inf
-        val = float(np.sum(fit_cfg.weights * np.abs(ecf - model) ** 2))
+        val = float(np.sum(weights * np.abs(ecf - model) ** 2))
         return val if np.isfinite(val) else np.inf
 
     rng = np.random.default_rng(_ECF_JITTER_SEED)

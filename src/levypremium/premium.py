@@ -28,6 +28,8 @@ __all__ = [
 
 GrowthModel = Union[NormalParams, NigParams, NcigParams]
 
+_A_TOL = 1e-10   # calibrate_crra bisects a to within this width
+
 
 @dataclass(frozen=True)
 class PremiumInputs:
@@ -130,14 +132,15 @@ def ratio_r(a: float, alpha: float) -> float:
     return alpha * (term1 + term2) / a
 
 
-def log_premium(model: GrowthModel, a: float, b: float = 0.5) -> float:
-    """Log equity premium under ``model`` at CRRA ``a`` (b cancels)."""
+def log_premium(model: GrowthModel, a: float) -> float:
+    """Log equity premium under ``model`` at CRRA ``a``.  It does not depend
+    on the discount factor, so none is taken; any b in (0, 1) gives it."""
     if isinstance(model, NormalParams):
-        return premium_lognormal(b, a, model).log_premium
+        return premium_lognormal(0.5, a, model).log_premium
     if isinstance(model, NigParams):
-        return premium_nig(b, a, model).log_premium
+        return premium_nig(0.5, a, model).log_premium
     if isinstance(model, NcigParams):
-        return premium_ncig(b, a, model).log_premium
+        return premium_ncig(0.5, a, model).log_premium
     raise DomainError(f"unsupported growth model type {type(model).__name__}")
 
 
@@ -183,15 +186,14 @@ def _defined(model: GrowthModel, a: float) -> bool:
         return False
 
 
-def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel,
-                   tol: float = 1e-10, grid_points: int = 17) -> float:
-    """CRRA a > 0 solving log_premium(a) = target by bracketed bisection.
+def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel) -> float:
+    """CRRA a >= 0 solving log_premium(a) = target by bisection to _A_TOL in a.
 
-    Monotonicity of the premium in a is verified on a grid before bisecting;
-    a target above the feasible maximum raises CalibrationError reporting the
-    attainable premium, as does a negative or non-finite target.  target = 0
-    returns the boundary solution a = 0.  ``b`` is not read: the log premium
-    does not depend on the discount factor.
+    P(a) = g(1) - g(1-a) + g(-a) has P'(a) = g'(1-a) - g'(-a) >= 0 because
+    every cumulant function g is convex, so [0, a_max] brackets every target
+    up to P(a_max).  A larger target raises CalibrationError reporting that
+    attainable premium, as does a negative or non-finite target; target = 0
+    returns a = 0.  ``b`` is not read: the log premium does not depend on it.
     """
     if not 0.0 <= target_log_premium < math.inf:
         raise CalibrationError(
@@ -209,22 +211,16 @@ def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel,
                     "target premium unattainable: premium still below target at a = 1e12")
     else:
         hi = a_max
-
-    grid = np.linspace(0.0, hi, grid_points)
-    vals = [log_premium(model, float(a)) for a in grid]
-    if any(v2 < v1 - 1e-13 for v1, v2 in zip(vals[:-1], vals[1:])):
-        raise CalibrationError("premium not monotone in bracket")
-
-    attainable = vals[-1]
-    if attainable < target_log_premium:
-        raise CalibrationError(
-            f"target premium unattainable: feasible maximum log premium is "
-            f"{attainable:.10g} at a = {hi:.10g}, target {target_log_premium:.10g}")
+        attainable = log_premium(model, hi)
+        if attainable < target_log_premium:
+            raise CalibrationError(
+                f"target premium unattainable: feasible maximum log premium is "
+                f"{attainable:.10g} at a = {hi:.10g}, target {target_log_premium:.10g}")
 
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _A_TOL:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):   # adjacent floats: tol is below the spacing of a
+        if mid in (lo, hi):   # adjacent floats: _A_TOL is below the spacing of a
             break
         if log_premium(model, mid) < target_log_premium:
             lo = mid

@@ -3,6 +3,10 @@ round-trip workflows."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,10 +221,21 @@ def write_normal_fit(path):
 class TestValidateReport:
     def test_empty_input_is_data_error(self, tmp_path):
         fit_path = write_normal_fit(tmp_path / "fit.json")
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         for name, text in (("empty.csv", "value\n"), ("one.csv", "value\n0.01\n")):
             (tmp_path / name).write_text(text)
-            assert run("validate", "--fit", str(fit_path), "--input", str(tmp_path / name),
-                       "--out", str(tmp_path / "out")) == EXIT_IO
+            argv = ["validate", "--fit", str(fit_path), "--input", str(tmp_path / name),
+                    "--out", str(tmp_path / "out")]
+            assert run(*argv) == EXIT_IO
+            # A fresh process, where a library warning would reach stderr
+            # (pytest intercepts the ones raised in-process).
+            proc = subprocess.run([sys.executable, "-m", "levypremium.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_IO
+            assert proc.stderr.startswith("data error: ") and proc.stderr.count("\n") == 1, \
+                proc.stderr
 
     def test_each_test_names_its_null_and_reruns_byte_identical(self, tmp_path):
         fit_path = write_normal_fit(tmp_path / "fit.json")

@@ -12,7 +12,6 @@ from levypremium import (
     bootstrap_se, default_ecf_config, ecf_objective, fit_ncig_ecf, fit_nig_mle,
     fit_normal_mle, moment_init_ncig, moment_init_nig, ncig_chf, ncig_cumulants,
     ig_pdf, ncig_sample, nig_log_pdf, nig_moments, nig_sample, normal_log_likelihood,
-    EcfObjectiveConfig,
 )
 from levypremium.cli import REFERENCE_MODELS
 
@@ -210,16 +209,6 @@ class TestEcfObjective:
                                           data, cfg))
             meds.append(float(np.median(vals)))
         assert meds[0] > meds[1] > meds[2]
-
-    def test_config_validation(self):
-        with pytest.raises(Exception):
-            EcfObjectiveConfig(u_grid=np.array([-1.0, 0.0, 1.0]),
-                               weights=np.ones(3))
-        with pytest.raises(Exception):
-            EcfObjectiveConfig(u_grid=np.array([-2.0, 1.0]), weights=np.ones(2))
-        with pytest.raises(Exception):
-            EcfObjectiveConfig(u_grid=np.array([-1.0, 1.0]),
-                               weights=np.array([1.0, -1.0]))
 
 
 class TestMomentInitNcig:

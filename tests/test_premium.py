@@ -82,9 +82,31 @@ class TestNigPremium:
             premium_nig(0.97, a_bad, REF_NIG)
 
     def test_monotone_in_crra(self):
-        grid = np.linspace(0.0, feasible_crra_max(REF_NIG), 40)
-        vals = [premium_nig(0.9, float(a), REF_NIG).log_premium for a in grid]
-        assert all(v2 > v1 - 1e-15 for v1, v2 in zip(vals[:-1], vals[1:]))
+        # P'(a) = g'(1-a) - g'(-a) >= 0 for every convex cumulant function g,
+        # which is what lets calibrate_crra bisect on [0, a_max] unchecked.
+        rng = np.random.default_rng(2024)
+        models = [REF_NORMAL, REF_NIG, REF_NCIG]
+        for _ in range(30):
+            models.append(NormalParams(mu=rng.normal(0.0, 0.01),
+                                       sigma=rng.uniform(0.005, 0.3)))
+            alpha = rng.uniform(1.5, 100.0)
+            beta = rng.uniform(-0.9, 0.9) * alpha
+            if alpha ** 2 > (beta + 1.0) ** 2:
+                models.append(NigParams(mu=rng.normal(0.0, 0.01), alpha=alpha,
+                                        beta=beta, delta=rng.uniform(0.005, 1.0)))
+            models.append(NcigParams(lam=rng.uniform(0.5, 500.0), mu=rng.uniform(0.05, 3.0),
+                                     nu=rng.normal(0.0, 0.5), sigma2=rng.uniform(0.05, 4.0)))
+        checked = 0
+        for model in models:
+            try:
+                a_max = feasible_crra_max(model)
+            except DomainError:   # the unit MGF argument lies outside the domain
+                continue
+            grid = np.linspace(0.0, 1e3 if math.isinf(a_max) else a_max, 200)
+            vals = np.array([log_premium(model, float(a)) for a in grid])
+            assert np.all(np.diff(vals) >= 0.0), model
+            checked += 1
+        assert checked >= 80
 
     @pytest.mark.parametrize("p", [
         REF_NIG,
@@ -280,15 +302,6 @@ class TestCalibrate:
     def test_unattainable_target_reports_maximum(self):
         with pytest.raises(CalibrationError, match="unattainable"):
             calibrate_crra(0.06, 0.97, REF_NIG)   # feasible max is ~0.0566
-
-    def test_non_monotone_bracket_error(self, monkeypatch):
-        # A target past sin's first peak forces the bracket to cover a
-        # decreasing stretch, so the grid check must fire.
-        import levypremium.premium as prem
-        monkeypatch.setattr(prem, "log_premium",
-                            lambda model, a, b=0.5: math.sin(a))
-        with pytest.raises(CalibrationError, match="not monotone"):
-            prem.calibrate_crra(0.95, 0.97, REF_NIG)
 
     def test_large_crra_returns(self):
         # a = 1e6: the 1e-10 tolerance lies below the float spacing of a, so
