@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import optimize
 
 from .errors import DataError, FeasibilityError, InvalidParameterError, LevyPremiumError
 from .inversion import default_grid, invert_chf, log_likelihood_from_grid
@@ -181,6 +180,7 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     returns finite NIG parameters next to the boundary law, within 1e-7 nats
     of its log-likelihood.  The fit never falls below ``init``.
     """
+    from scipy import optimize
     arr = np.asarray(data, dtype=float)
     if arr.size < 8:
         raise DataError("NIG MLE requires at least 8 observations")
@@ -189,7 +189,7 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     z = (arr - m) / scale
 
     def shape_of(theta) -> NigShape:
-        return NigShape(mean=float(theta[0]), sd=math.exp(float(np.clip(theta[1], -40.0, 40.0))),
+        return NigShape(mean=float(theta[0]), sd=math.exp(min(max(float(theta[1]), -40.0), 40.0)),
                         pos=float(theta[2]), neg=float(theta[3]))
 
     def neg_loglik(theta) -> float:
@@ -312,10 +312,10 @@ def _sample_cumulants(data: np.ndarray) -> np.ndarray:
 
 def _ncig_from_theta(theta: np.ndarray) -> NcigParams:
     ln_lam, ln_mu, nu, ln_s2 = theta
-    return NcigParams(lam=float(np.exp(np.clip(ln_lam, -40.0, 40.0))),
-                      mu=float(np.exp(np.clip(ln_mu, -40.0, 40.0))),
-                      nu=float(nu),
-                      sigma2=float(np.exp(np.clip(ln_s2, -40.0, 40.0))))
+    # min/max, not np.clip: the same value on a scalar, NaN included, at a
+    # fraction of the cost on every objective evaluation.
+    lam, mu, s2 = (float(np.exp(min(max(t, -40.0), 40.0))) for t in (ln_lam, ln_mu, ln_s2))
+    return NcigParams(lam=lam, mu=mu, nu=float(nu), sigma2=s2)
 
 
 def _ncig_to_theta(p: NcigParams) -> np.ndarray:
@@ -337,6 +337,7 @@ def moment_init_ncig(data) -> NcigParams:
     coarse start (lam=100, mu=0.25, nu and sigma2 scaled to the sample mean
     and variance) whenever the solve fails; never raises.
     """
+    from scipy import optimize
     arr = np.asarray(data, dtype=float)
     if arr.size < 16:
         raise DataError("NCIG moment initialization requires at least 16 observations")
@@ -403,6 +404,7 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
     likelihood trails a NIG baseline is flagged by ``apply_selection_rule``,
     not failed.
     """
+    from scipy import optimize
     arr = np.asarray(data, dtype=float)
     if arr.size < 16:
         raise DataError("NCIG ECF fit requires at least 16 observations")

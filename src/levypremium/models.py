@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, InvalidParameterError, QuadratureError
 from .special import bessel_k1e
@@ -392,6 +391,7 @@ def double_ig_pdf(p: DoubleIgParams, x: float, abs_tol: float = 1e-8) -> float:
 
     This is an oracle-grade routine (scalar x), not a hot path.
     """
+    from scipy import integrate
     if x <= 0.0:
         raise DomainError("doubly subordinated IG density requires x > 0")
     lt, mt = p.outer.lam, p.outer.mu

@@ -165,6 +165,12 @@ class TestFrosiniAsymptotic:
         got = np.array([gof._bridge_l1_cdf(t) for t in x])
         assert np.max(np.abs(got - truth)) <= 1e-10
 
+    def test_cdf_within_4e_15_of_oracle(self):
+        # The closed-form H (DLMF 13.3.27) leaves 1.05e-15 on this table.
+        x, truth = np.loadtxt(FROSINI_ORACLE_CSV, delimiter=",", skiprows=1, unpack=True)
+        got = np.array([gof._bridge_l1_cdf(t) for t in x])
+        assert np.max(np.abs(got - truth)) <= 4e-15
+
     def test_frozen_oracle_matches_live_mpmath(self):
         x, truth = np.loadtxt(FROSINI_ORACLE_CSV, delimiter=",", skiprows=1, unpack=True)
         i = int(np.argmin(np.abs(truth - 0.5)))

@@ -21,12 +21,34 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats is over a third of the CLI's import time and the package
-    # needs none of it: the chi-square tail comes from scipy.special.chdtrc.
+# scipy.stats is over a third of the CLI's import time and the package needs
+# none of it (the chi-square tail is scipy.special.chdtrc); scipy.optimize and
+# scipy.integrate, a third of the rest, are loaded only by the functions that
+# fit or integrate numerically.
+UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
+
+
+def _loaded(code: str) -> list[str]:
+    """The modules of UNUSED_SCIPY that a fresh interpreter has loaded after
+    running ``code``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
-    code = "import sys, levypremium.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    code += f"\nprint(*[m for m in {UNUSED_SCIPY!r} if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.split()
+
+
+def test_cli_import_leaves_out_unused_scipy():
+    assert _loaded("import levypremium.cli") == []
+
+
+def test_uniformity_tests_load_no_optimizer_or_quadrature():
+    # n = 500 takes the asymptotic nulls, whose Frosini law is closed form.
+    assert _loaded("""
+import numpy as np
+from levypremium import frosini_test, ks_test_uniform, neyman_smooth_test, pit
+s = pit(np.random.default_rng(5).normal(size=500), lambda x: 0.5 + np.arctan(x) / np.pi)
+reports = [frosini_test(s), ks_test_uniform(s), neyman_smooth_test(s)]
+assert [r.null for r in reports] == ["asymptotic", "asymptotic", "chi-square"]
+""") == []
