@@ -24,8 +24,8 @@ from .estimation import (FitResult, apply_selection_rule, bootstrap_se,
                          moment_init_nig, normal_log_likelihood)
 from .gof import (PitSample, TestReport, frosini_test, ks_test_uniform,
                   neyman_smooth_test, pit, qq_pp_data)
-from .premium import (PremiumInputs, PremiumResult, calibrate_crra,
-                      feasible_crra_max, log_premium, premium_lognormal,
-                      premium_ncig, premium_nig, ratio_r)
+from .premium import (PremiumResult, calibrate_crra, feasible_crra_max,
+                      log_premium, premium_lognormal, premium_ncig, premium_nig,
+                      ratio_r)
 from .data_io import (GrowthSeries, SeriesRecord, load_csv, log_growth,
                       real_return, resample_monthly_locf, write_series_csv)

@@ -151,11 +151,10 @@ def resample_monthly_locf(records: Sequence[SeriesRecord]) -> list[SeriesRecord]
     return out
 
 
-def write_series_csv(path, records: Sequence[SeriesRecord],
-                     date_column: str = "date", value_column: str = "value") -> None:
-    """Write a dated series; round-trips bit-exactly through load_csv."""
+def write_series_csv(path, records: Sequence[SeriesRecord]) -> None:
+    """Write a dated series as ``date,value``; round-trips bit-exactly through load_csv."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow([date_column, value_column])
+        writer.writerow(["date", "value"])
         for rec in records:
             writer.writerow([rec.date.isoformat(), repr(rec.value)])

@@ -398,11 +398,11 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
 
     The data are rescaled to unit standard deviation internally (the NCIG
     family is closed under scaling) so the exp(-u^2) node weights of
-    ``default_ecf_config`` act at their design scale.  After each start
-    converges, the FFT-based log-likelihood of the original data is computed
-    and the start with the largest likelihood is selected; a fit whose
-    likelihood trails a NIG baseline is flagged by ``apply_selection_rule``,
-    not failed.
+    ``default_ecf_config`` act at their design scale.  When each start stops,
+    converged or stalled, the FFT-based log-likelihood of the original data
+    is computed, and the start with the largest one is selected even if it
+    stalled (the fit then reports converged=False); a fit whose likelihood
+    trails a NIG baseline is flagged by ``apply_selection_rule``, not failed.
     """
     from scipy import optimize
     arr = np.asarray(data, dtype=float)

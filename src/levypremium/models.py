@@ -382,7 +382,10 @@ def _ig_cumulants(p: IgParams) -> tuple[float, float, float, float]:
     return m, m ** 3 / l, 3.0 * m ** 5 / l ** 2, 15.0 * m ** 7 / l ** 3
 
 
-def double_ig_pdf(p: DoubleIgParams, x: float, abs_tol: float = 1e-8) -> float:
+_DOUBLE_IG_ABS_TOL = 1e-8   # double_ig_pdf: bound on the summed quadrature error
+
+
+def double_ig_pdf(p: DoubleIgParams, x: float) -> float:
     """Density of V(1) at x > 0 by adaptive quadrature of the mixture integral
 
         f(x) = (1/2pi) sqrt(lam_T lam_U / x^3)
@@ -413,7 +416,7 @@ def double_ig_pdf(p: DoubleIgParams, x: float, abs_tol: float = 1e-8) -> float:
     hi = max(peak_t + 12 * width_t, mu_ + 12 * width_u, 1.0)
     segments = [0.0] + [v for v in pts if 0.0 < v < hi] + [hi]
 
-    seg_tol = 0.1 * abs_tol / len(segments)
+    seg_tol = 0.1 * _DOUBLE_IG_ABS_TOL / len(segments)
     total, err_total = 0.0, 0.0
     for a, b in zip(segments[:-1], segments[1:]):
         val, err = integrate.quad(integrand, a, b, epsabs=seg_tol, epsrel=1e-10,
@@ -424,10 +427,10 @@ def double_ig_pdf(p: DoubleIgParams, x: float, abs_tol: float = 1e-8) -> float:
     total += tail
     err_total += tail_err
 
-    if err_total > abs_tol:
+    if err_total > _DOUBLE_IG_ABS_TOL:
         raise QuadratureError(
             f"doubly subordinated IG density quadrature error {err_total:.3g} "
-            f"exceeds {abs_tol} at x = {x}")
+            f"exceeds {_DOUBLE_IG_ABS_TOL} at x = {x}")
     return total
 
 

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["scatter_svg", "histogram_svg"]
-
 _W, _H, _PAD = 480, 480, 50
 
 
@@ -30,8 +28,8 @@ def _frame(title: str) -> list[str]:
     ]
 
 
-def scatter_svg(x, y, title: str = "", diagonal: bool = True) -> str:
-    """Scatter plot of paired values with an optional y = x reference line."""
+def scatter_svg(x, y, title: str = "") -> str:
+    """Scatter plot of paired values with a y = x reference line."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     lo = float(min(x.min(), y.min()))
@@ -39,9 +37,8 @@ def scatter_svg(x, y, title: str = "", diagonal: bool = True) -> str:
     px = _scale(x, lo, hi, _PAD, _W - _PAD)
     py = _scale(y, lo, hi, _H - _PAD, _PAD)
     parts = _frame(title)
-    if diagonal:
-        parts.append(f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_PAD}" '
-                     'stroke="#888" stroke-dasharray="4 3"/>')
+    parts.append(f'<line x1="{_PAD}" y1="{_H - _PAD}" x2="{_W - _PAD}" y2="{_PAD}" '
+                 'stroke="#888" stroke-dasharray="4 3"/>')
     step = max(1, x.size // 2000)
     for xi, yi in zip(px[::step], py[::step]):
         parts.append(f'<circle cx="{xi:.2f}" cy="{yi:.2f}" r="1.6" fill="#1f77b4"/>')

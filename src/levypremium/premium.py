@@ -21,28 +21,13 @@ from .errors import CalibrationError, DomainError
 from .models import NcigParams, NigParams, NormalParams, ncig_mgf_log, nig_mgf_log
 
 __all__ = [
-    "PremiumInputs", "PremiumResult",
-    "premium_lognormal", "premium_nig", "premium_ncig", "ratio_r",
+    "PremiumResult", "premium_lognormal", "premium_nig", "premium_ncig", "ratio_r",
     "log_premium", "feasible_crra_max", "calibrate_crra",
 ]
 
 GrowthModel = Union[NormalParams, NigParams, NcigParams]
 
 _A_TOL = 1e-10   # calibrate_crra bisects a to within this width
-
-
-@dataclass(frozen=True)
-class PremiumInputs:
-    """Discount factor b in (0,1), CRRA a > 0, and the log-growth model."""
-
-    b: float
-    a: float
-    model: GrowthModel
-
-    def __post_init__(self):
-        if not 0.0 < self.b < 1.0:
-            raise DomainError(f"discount factor must lie in (0, 1), got {self.b}")
-        _check_crra(self.a)
 
 
 def _check_crra(a: float) -> None:
@@ -118,18 +103,13 @@ def premium_ncig(b: float, a: float, p: NcigParams) -> PremiumResult:
 
 def ratio_r(a: float, alpha: float) -> float:
     """Heavy-tail premium amplification relative to the Gaussian benchmark:
-    alpha (alpha - sqrt(alpha^2-a^2) - sqrt(alpha^2-1) + sqrt(alpha^2-(1-a)^2)) / a."""
+    alpha P(a) / a for P the log premium of NIG(0, alpha, 0, 1), i.e.
+    alpha (alpha - sqrt(alpha^2-a^2) - sqrt(alpha^2-1) + sqrt(alpha^2-(1-a)^2)) / a.
+    Requires a > 0, alpha > 1 and a <= alpha: the premium's closed domain, so
+    a = alpha returns a value."""
     if a <= 0.0:
         raise DomainError("ratio requires a > 0")
-    if alpha * alpha <= max(a * a, 1.0, (1.0 - a) ** 2):
-        raise DomainError(
-            f"ratio requires alpha^2 > max(a^2, 1, (1-a)^2); got alpha = {alpha}, a = {a}")
-    r_a = math.sqrt(alpha * alpha - a * a)
-    r_1 = math.sqrt(alpha * alpha - 1.0)
-    r_1ma = math.sqrt(alpha * alpha - (1.0 - a) ** 2)
-    term1 = a * a / (alpha + r_a)                       # alpha - r_a
-    term2 = (2.0 * a - a * a) / (r_1ma + r_1)           # r_1ma - r_1
-    return alpha * (term1 + term2) / a
+    return alpha * log_premium(NigParams(0.0, alpha, 0.0, 1.0), a) / a
 
 
 def log_premium(model: GrowthModel, a: float) -> float:

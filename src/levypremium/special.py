@@ -11,8 +11,6 @@ All functions accept floats or numpy arrays and return matching shapes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.special import k1, k1e, ndtr
 
@@ -51,12 +49,7 @@ def log_bessel_k1(x):
 
 def std_normal_cdf(x):
     """Standard normal CDF Phi(x), absolute error below 1e-15."""
-    if np.ndim(x) == 0:
-        xv = float(x)
-        if math.isnan(xv):
-            raise DomainError("std_normal_cdf requires a finite argument")
-        return 0.5 * math.erfc(-xv / math.sqrt(2.0))
     arr = np.asarray(x, dtype=float)
     if np.any(np.isnan(arr)):
-        raise DomainError("std_normal_cdf requires finite arguments")
-    return ndtr(arr)
+        raise DomainError("std_normal_cdf requires non-NaN arguments")
+    return _like(x, ndtr(arr))

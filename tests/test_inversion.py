@@ -7,9 +7,10 @@ import pytest
 from scipy import integrate
 
 from levypremium import (
-    GridError, InvalidParameterError, InversionGrid, Moments, cdf_function,
-    default_grid, invert_chf, log_likelihood_from_grid, ncig_chf, ncig_moments,
-    ncig_sample, nig_chf, nig_log_pdf, nig_moments, nig_pdf, quantile_function,
+    GridError, GriddedDensity, InvalidParameterError, InversionGrid, Moments,
+    cdf_function, default_grid, invert_chf, log_likelihood_from_grid, ncig_chf,
+    ncig_moments, ncig_sample, nig_chf, nig_log_pdf, nig_moments, nig_pdf,
+    quantile_function,
 )
 from levypremium.cli import REFERENCE_MODELS
 
@@ -159,3 +160,75 @@ class TestCdfQuantile:
         d = invert_chf(normal_chf, grid)
         with pytest.raises(GridError):
             quantile_function(d)(1.5)
+
+
+def stepped_density():
+    """A hand-made gridded CDF on [0, 1): flat at 0 up to node 100, flat at
+    0.5 from node 400 to 600 and flat at 1 - 5e-5 from node 900 on."""
+    grid = InversionGrid(n_points=2 ** 10, x_min=0.0, x_max=1.0)
+    cdf = np.interp(np.arange(grid.n_points), [0, 100, 400, 600, 900, 1023],
+                    [0.0, 0.0, 0.5, 0.5, 1.0 - 5e-5, 1.0 - 5e-5])
+    return GriddedDensity(grid=grid, pdf_values=np.gradient(cdf, grid.spacing),
+                          cdf_values=cdf)
+
+
+@pytest.fixture(scope="module", params=["nig", "ncig"])
+def reference_density(request):
+    if request.param == "nig":
+        return invert_chf(lambda u: nig_chf(REF_NIG, u), default_grid(nig_moments(REF_NIG)))
+    return invert_chf(lambda u: ncig_chf(REF_NCIG, u), default_grid(ncig_moments(REF_NCIG)))
+
+
+def bisect_quantile(d, p, steps=60):
+    """inf{x : cdf(x) >= p} by bisection of cdf_function on the grid span."""
+    cdf = cdf_function(d)
+    lo = np.full_like(p, d.grid.x_min)
+    hi = np.full_like(p, d.grid.nodes[-1])
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        below = cdf(mid) < p
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestQuantileClosedForm:
+    def test_zero_gives_x_min(self, reference_density):
+        d = reference_density
+        assert quantile_function(d)(0.0) == d.grid.x_min
+        assert quantile_function(stepped_density())(0.0) == 0.0
+
+    def test_above_last_cdf_value_gives_last_node(self):
+        d = stepped_density()
+        quantile = quantile_function(d)
+        for p in (1.0 - 4e-5, 1.0):
+            assert quantile(p) == d.grid.nodes[-1]
+
+    def test_flat_step_gives_its_left_end(self):
+        d = stepped_density()
+        quantile = quantile_function(d)
+        assert quantile(0.5) == d.grid.nodes[400]
+        assert quantile(1.0 - 5e-5) == d.grid.nodes[900]
+
+    def test_cdf_inverts_on_rising_steps(self, reference_density):
+        d = reference_density
+        cdf = d.cdf_values
+        rising = np.flatnonzero(np.diff(cdf) > 0.0)
+        j = np.random.default_rng(11).choice(rising, size=2000)
+        w = np.random.default_rng(12).uniform(size=j.size)
+        p = cdf[j] + w * (cdf[j + 1] - cdf[j])
+        assert np.max(np.abs(cdf_function(d)(quantile_function(d)(p)) - p)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1200, 5000])
+    def test_matches_bisection_at_qq_probabilities(self, reference_density, n):
+        d = reference_density
+        probs = (np.arange(1, n + 1) - 0.5) / n
+        span = d.grid.x_max - d.grid.x_min
+        gap = np.abs(quantile_function(d)(probs) - bisect_quantile(d, probs))
+        assert gap.max() <= 1e-12 * span
+
+    def test_scalar_in_float_out(self, reference_density):
+        quantile = quantile_function(reference_density)
+        assert type(quantile(0.3)) is float
+        assert type(quantile(np.float64(0.3))) is float
+        assert quantile(np.array([0.3, 0.7])).shape == (2,)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from levypremium import (
     CalibrationError, DomainError, NcigParams, NigParams, NormalParams,
-    PremiumInputs, calibrate_crra, feasible_crra_max, log_premium, ncig_mgf_log,
+    calibrate_crra, feasible_crra_max, log_premium, ncig_mgf_log,
     nig_mgf_log, premium_lognormal, premium_ncig, premium_nig, ratio_r,
 )
 from levypremium.cli import REFERENCE_MODELS
@@ -196,6 +196,16 @@ class TestRatio:
         with pytest.raises(DomainError):
             ratio_r(10.0, 5.0)
 
+    def test_is_scaled_nig_premium(self):
+        # R(a, alpha) is alpha/a times the log premium of NIG(0, alpha, 0, 1),
+        # on the premium's closed domain (a = alpha included).
+        for alpha in (1.5, 3.0, 10.0, 33.5, 1e3, 1e6):
+            for a in (0.25, 0.5, 1.0, 1.5, 2.0, 5.0, 10.0, 33.5):
+                if a > alpha:
+                    continue
+                expected = alpha * log_premium(NigParams(0.0, alpha, 0.0, 1.0), a) / a
+                assert ratio_r(a, alpha) == expected
+
 
 class TestFeasibleCrraMax:
     def test_nig_boundary_is_alpha_plus_beta(self):
@@ -327,12 +337,3 @@ class TestCalibrate:
         with pytest.raises(CalibrationError, match="finite"):
             calibrate_crra(target, 0.97, model)
 
-
-class TestPremiumInputs:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            PremiumInputs(b=1.5, a=2.0, model=REF_NORMAL)
-        with pytest.raises(DomainError):
-            PremiumInputs(b=0.9, a=-1.0, model=REF_NORMAL)
-        ok = PremiumInputs(b=0.9, a=2.0, model=REF_NIG)
-        assert ok.model is REF_NIG

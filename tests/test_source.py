@@ -1,9 +1,11 @@
 """Source-level rules for the package itself."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import levypremium
@@ -19,6 +21,22 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_public_surface_is_declared_in_module_all():
+    # The modules' __all__ lists are the one declaration of the public surface:
+    # each name there is exported by the package, and each exported name other
+    # than a submodule or an error class is listed there, so a deleted type
+    # cannot linger as an export.
+    modules = [importlib.import_module(f"levypremium.{path.stem}")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    declared = {name for module in modules for name in getattr(module, "__all__", ())}
+    exported = {name for name, value in vars(levypremium).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)
+                and not (isinstance(value, type)
+                         and issubclass(value, levypremium.LevyPremiumError))}
+    assert sorted(declared - set(dir(levypremium))) == []
+    assert sorted(exported - declared) == []
 
 
 # scipy.stats is over a third of the CLI's import time and the package needs

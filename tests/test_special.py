@@ -120,3 +120,16 @@ class TestStdNormalCdf:
         xs = np.array([-2.0, 0.0, 1.5])
         arr = std_normal_cdf(xs)
         assert arr == pytest.approx([std_normal_cdf(float(v)) for v in xs], abs=1e-15)
+
+    def test_scalar_and_array_equal_exactly(self):
+        xs = np.linspace(-40.0, 40.0, 1601)
+        arr = std_normal_cdf(xs)
+        scalars = [std_normal_cdf(float(v)) for v in xs]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(arr, scalars)
+
+    def test_nan_raises(self):
+        with pytest.raises(DomainError):
+            std_normal_cdf(math.nan)
+        with pytest.raises(DomainError):
+            std_normal_cdf(np.array([0.0, math.nan, 1.0]))
