@@ -111,11 +111,14 @@ def _load_growth(args) -> GrowthSeries:
         try:
             with warnings.catch_warnings():   # no rows: a DataError downstream says so
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                arr = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=1)
+                arr = np.loadtxt(args.input, delimiter=",", skiprows=1, ndmin=2)
         except OSError as exc:
             raise DataError(f"cannot open {args.input}: {exc}") from exc
         except ValueError as exc:
             raise DataError(f"cannot parse {args.input}: {exc}") from exc
+        if arr.shape[1] != 1:
+            raise DataError(f"{args.input} holds {arr.shape[1]} columns, not one")
+        arr = arr[:, 0]
         if not np.all(np.isfinite(arr)):
             raise DataError(f"{args.input} holds non-finite values")
         return GrowthSeries(log_growth=arr, period=args.period)
@@ -280,8 +283,6 @@ def cmd_simulate(args) -> int:
 
 
 def _simulate(params, n: int, seed: int) -> np.ndarray:
-    if n == 0:
-        return np.empty(0)
     if isinstance(params, NormalParams):
         rng = np.random.default_rng(seed)
         return rng.normal(params.mu, params.sigma, size=n)

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import DataError, FeasibilityError, InvalidParameterError, LevyPremiumError
 from .inversion import default_grid, invert_chf, log_likelihood_from_grid
-from .models import (NcigParams, NigParams, NigShape, NormalParams, ncig_chf,
-                     ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf)
+from .models import (NcigParams, NigParams, NigShape, NormalParams, double_ig_cumulants,
+                     ncig_chf, ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf)
 
 __all__ = [
     "FitResult",
@@ -64,16 +64,20 @@ class FitResult:
             raise InvalidParameterError("fit objective must be finite")
 
 
-def _sample_stats(data: np.ndarray) -> tuple[float, float, float, float]:
-    """Population mean, variance, skewness, excess kurtosis (divisor n)."""
+def _central_moments(data: np.ndarray) -> tuple[float, float, float, float]:
+    """Mean, variance, third and fourth central moments (divisor n)."""
     m = float(np.mean(data))
     centered = data - m
     v = float(np.mean(centered ** 2))
     if v <= 0.0:
         raise DataError("degenerate data: zero sample variance")
-    skew = float(np.mean(centered ** 3)) / v ** 1.5
-    kurt = float(np.mean(centered ** 4)) / v ** 2 - 3.0
-    return m, v, skew, kurt
+    return m, v, float(np.mean(centered ** 3)), float(np.mean(centered ** 4))
+
+
+def _sample_stats(data: np.ndarray) -> tuple[float, float, float, float]:
+    """Population mean, variance, skewness, excess kurtosis (divisor n)."""
+    m, v, m3, m4 = _central_moments(data)
+    return m, v, m3 / v ** 1.5, m4 / v ** 2 - 3.0
 
 
 def normal_log_likelihood(data: np.ndarray, p: NormalParams) -> float:
@@ -89,10 +93,7 @@ def fit_normal_mle(data) -> FitResult:
     arr = np.asarray(data, dtype=float)
     if arr.size < 2:
         raise DataError("normal MLE requires at least 2 observations")
-    mu = float(np.mean(arr))
-    sigma2 = float(np.mean((arr - mu) ** 2))
-    if sigma2 <= 0.0:
-        raise DataError("degenerate data: all observations equal")
+    mu, sigma2, _, _ = _central_moments(arr)
     p = NormalParams(mu=mu, sigma=float(np.sqrt(sigma2)))
     n = arr.size
     loglik = -0.5 * n * np.log(2.0 * np.pi * sigma2) - 0.5 * n
@@ -301,15 +302,6 @@ def default_ecf_config(data) -> tuple[np.ndarray, np.ndarray]:
 # NCIG: moment initialization and ECF fit
 # ---------------------------------------------------------------------------
 
-def _sample_cumulants(data: np.ndarray) -> np.ndarray:
-    m = float(np.mean(data))
-    c = data - m
-    v = float(np.mean(c ** 2))
-    k3 = float(np.mean(c ** 3))
-    k4 = float(np.mean(c ** 4)) - 3.0 * v * v
-    return np.array([m, v, k3, k4])
-
-
 def _ncig_from_theta(theta: np.ndarray) -> NcigParams:
     ln_lam, ln_mu, nu, ln_s2 = theta
     # min/max, not np.clip: the same value on a scalar, NaN included, at a
@@ -335,14 +327,14 @@ def moment_init_ncig(data) -> NcigParams:
     cumulants through the Brownian map), so the match is a four-dimensional
     root solve in (ln lam, ln mu, nu, ln sigma2).  Falls back to a fixed
     coarse start (lam=100, mu=0.25, nu and sigma2 scaled to the sample mean
-    and variance) whenever the solve fails; never raises.
+    and variance) whenever the solve fails; DataError on too few or constant data.
     """
     from scipy import optimize
     arr = np.asarray(data, dtype=float)
     if arr.size < 16:
         raise DataError("NCIG moment initialization requires at least 16 observations")
-    target = _sample_cumulants(arr)
-    v = target[1]
+    m, v, m3, m4 = _central_moments(arr)
+    target = np.array([m, v, m3, m4 - 3.0 * v * v])
     floors = np.array([v ** 0.5, v, v ** 1.5, v ** 2]) * 1e-8 + 1e-300
     denom = np.maximum(np.abs(target), floors)
 
@@ -371,7 +363,6 @@ def moment_init_ncig(data) -> NcigParams:
 def _linear_completion(lam: float, mu: float, target: np.ndarray):
     """Given (lam, mu), solve nu and sigma2 from the first two cumulants."""
     p0 = NcigParams(lam=lam, mu=mu, nu=0.0, sigma2=1.0)
-    from .models import double_ig_cumulants
     c1, c2, _, _ = double_ig_cumulants(p0.clock)
     nu = target[0] / c1
     s2 = (target[1] - nu * nu * c2) / c1

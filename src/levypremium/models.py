@@ -48,7 +48,7 @@ def _finite(*values: float) -> bool:
 
 @dataclass(frozen=True)
 class NigParams:
-    """NIG parameters (mu, alpha, beta, delta); requires alpha^2 > beta^2, delta > 0."""
+    """NIG parameters (mu, alpha, beta, delta); requires alpha > |beta|, gamma > 0, delta > 0."""
 
     mu: float
     alpha: float
@@ -58,8 +58,8 @@ class NigParams:
     def __post_init__(self):
         _require(_finite(self.mu, self.alpha, self.beta, self.delta),
                  "NIG parameters must be finite")
-        _require(self.alpha * self.alpha > self.beta * self.beta,
-                 f"NIG requires alpha^2 > beta^2 (got alpha={self.alpha}, beta={self.beta})")
+        _require(self.alpha > abs(self.beta) and self.gamma > 0.0,   # gamma may underflow
+                 f"NIG requires alpha > |beta|, gamma > 0 (alpha={self.alpha}, beta={self.beta})")
         _require(self.delta > 0.0, f"NIG requires delta > 0 (got {self.delta})")
 
     @property
@@ -486,8 +486,14 @@ def ncig_moments(p: NcigParams) -> Moments:
 
 
 # ---------------------------------------------------------------------------
-# Samplers (deterministic per seed; one generator per call)
+# Samplers (deterministic per seed; one generator per call; n >= 0)
 # ---------------------------------------------------------------------------
+
+def _rng(n: int, seed: int) -> np.random.Generator:
+    """The generator of one sampler call, after checking n >= 0."""
+    _require(n >= 0, f"sample size must be >= 0 (got {n})")
+    return np.random.default_rng(seed)
+
 
 def _ig_draw(rng: np.random.Generator, lam, mu, n: int) -> np.ndarray:
     """n IG draws via the transform-with-rejection method: one chi-square
@@ -505,10 +511,7 @@ def _ig_draw(rng: np.random.Generator, lam, mu, n: int) -> np.ndarray:
 
 def ig_sample(p: IgParams, n: int, seed: int) -> np.ndarray:
     """n i.i.d. IG(lam, mu) variates; identical output for identical seed."""
-    if n < 1:
-        raise InvalidParameterError("ig_sample requires n >= 1")
-    rng = np.random.default_rng(seed)
-    return _ig_draw(rng, p.lam, p.mu, n)
+    return _ig_draw(_rng(n, seed), p.lam, p.mu, n)
 
 
 def _double_ig_draw(rng: np.random.Generator, p: DoubleIgParams, n: int) -> np.ndarray:
@@ -519,18 +522,13 @@ def _double_ig_draw(rng: np.random.Generator, p: DoubleIgParams, n: int) -> np.n
 
 def double_ig_sample(p: DoubleIgParams, n: int, seed: int) -> np.ndarray:
     """n draws of the compound clock V(1) = T(U(1))."""
-    if n < 1:
-        raise InvalidParameterError("double_ig_sample requires n >= 1")
-    rng = np.random.default_rng(seed)
-    return _double_ig_draw(rng, p, n)
+    return _double_ig_draw(_rng(n, seed), p, n)
 
 
 def ncig_sample(p: NcigParams, n: int, seed: int) -> np.ndarray:
     """n draws of Z(1) = nu V + sqrt(sigma^2 V) N(0,1) with V the doubly
     subordinated IG clock."""
-    if n < 1:
-        raise InvalidParameterError("ncig_sample requires n >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n, seed)
     v = _double_ig_draw(rng, p.clock, n)
     return p.nu * v + np.sqrt(p.sigma2 * v) * rng.standard_normal(n)
 
@@ -538,8 +536,6 @@ def ncig_sample(p: NcigParams, n: int, seed: int) -> np.ndarray:
 def nig_sample(p: NigParams, n: int, seed: int) -> np.ndarray:
     """n NIG draws via subordination: X = mu + beta T + sqrt(T) N(0,1) with
     T ~ IG(delta^2, delta/gamma)."""
-    if n < 1:
-        raise InvalidParameterError("nig_sample requires n >= 1")
-    rng = np.random.default_rng(seed)
+    rng = _rng(n, seed)
     t = _ig_draw(rng, p.delta ** 2, p.delta / p.gamma, n)
     return p.mu + p.beta * t + np.sqrt(t) * rng.standard_normal(n)

@@ -1,6 +1,6 @@
 """Equity-premium engine: expected gross return, risk-free rate, and log
 premium under log-normal, log-NIG, and log-NCIG growth; the heavy-tail
-amplification ratio; and risk-aversion calibration by bracketed bisection.
+amplification ratio; and risk-aversion calibration.
 
 All quantities are per the period of the fitted parameters (monthly inputs
 give monthly premia); annualization is a caller concern.  The log premium
@@ -167,7 +167,8 @@ def _defined(model: GrowthModel, a: float) -> bool:
 
 
 def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel) -> float:
-    """CRRA a >= 0 solving log_premium(a) = target by bisection to _A_TOL in a.
+    """CRRA a >= 0 solving log_premium(a) = target: target / sigma^2 for the
+    log-normal premium a sigma^2, and for NIG and NCIG bisection to _A_TOL in a.
 
     P(a) = g(1) - g(1-a) + g(-a) has P'(a) = g'(1-a) - g'(-a) >= 0 because
     every cumulant function g is convex, so [0, a_max] brackets every target
@@ -180,22 +181,18 @@ def calibrate_crra(target_log_premium: float, b: float, model: GrowthModel) -> f
             f"target premium must be finite and nonnegative, got {target_log_premium}")
     if target_log_premium == 0.0:
         return 0.0
+    if isinstance(model, NormalParams):
+        s2 = model.sigma ** 2   # may underflow to 0, or leave target / s2 above every float
+        if s2 > 0.0 and target_log_premium / s2 < math.inf:
+            return target_log_premium / s2
+        raise CalibrationError(f"target premium unattainable: sigma^2 = {s2:.6g} is too small")
 
-    a_max = feasible_crra_max(model)
-    if math.isinf(a_max):
-        hi = 1.0
-        while log_premium(model, hi) < target_log_premium:
-            hi *= 2.0
-            if hi > 1e12:
-                raise CalibrationError(
-                    "target premium unattainable: premium still below target at a = 1e12")
-    else:
-        hi = a_max
-        attainable = log_premium(model, hi)
-        if attainable < target_log_premium:
-            raise CalibrationError(
-                f"target premium unattainable: feasible maximum log premium is "
-                f"{attainable:.10g} at a = {hi:.10g}, target {target_log_premium:.10g}")
+    hi = feasible_crra_max(model)
+    attainable = log_premium(model, hi)
+    if attainable < target_log_premium:
+        raise CalibrationError(
+            f"target premium unattainable: feasible maximum log premium is "
+            f"{attainable:.10g} at a = {hi:.10g}, target {target_log_premium:.10g}")
 
     lo = 0.0
     while hi - lo > _A_TOL:

@@ -169,6 +169,62 @@ class TestFit:
             (out_b / "fit_nig.json").read_bytes()
 
 
+class TestValuesInput:
+    """``--input-kind values`` reads exactly one column."""
+
+    @pytest.mark.parametrize("command", ["fit", "validate"])
+    @pytest.mark.parametrize("text", ["value\n0.01,0.02\n",
+                                      "value\n0.01,0.02\n-0.03,0.04\n0.05,-0.06\n0.07,0.08\n"])
+    def test_more_than_one_column_is_a_data_error(self, command, text, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text(text)
+        argv = {"fit": ["--model", "normal"],
+                "validate": ["--fit", str(write_normal_fit(tmp_path / "fit.json"))]}[command]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--input", str(data_csv), "--out", str(out)) == EXIT_IO
+        assert not out.exists()
+
+    def test_one_column_fits(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("value\n0.01\n-0.03\n0.05\n0.07\n")
+        assert run("fit", "--model", "normal", "--input", str(data_csv),
+                   "--out", str(tmp_path)) == EXIT_OK
+        fit = read_json(tmp_path / "fit_normal.json")
+        assert fit["params"]["mu"] == pytest.approx(0.025, rel=1e-12)
+
+    def test_empty_file_is_a_data_error(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("value\n")
+        assert run("fit", "--model", "normal", "--input", str(data_csv),
+                   "--out", str(tmp_path)) == EXIT_IO
+
+
+def run_process(*argv):
+    """Exit code of the CLI in a fresh process; a hang fails the test after 60 s."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "levypremium.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60).returncode
+
+
+class TestNegativeNigAlpha:
+    # alpha^2 > beta^2 holds here, but NIG needs alpha > |beta|.
+    PAYLOAD = {"model": "nig", "params": {"mu": 0, "alpha": -3, "beta": 0, "delta": 1}}
+
+    def test_calibrate_is_a_parameter_error(self, tmp_path):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(self.PAYLOAD))
+        assert run_process("calibrate", "--fit", str(fit_path),
+                           "--target-premium", "0.05") == EXIT_FEASIBILITY
+
+    def test_simulate_is_a_parameter_error(self, tmp_path):
+        out = tmp_path / "draws.csv"
+        assert run_process("simulate", "--params-json", json.dumps(self.PAYLOAD),
+                           "--n", "10", "--seed", "1", "--out", str(out)) == EXIT_FEASIBILITY
+        assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
     base = tmp_path_factory.mktemp("validate")

@@ -244,6 +244,10 @@ class TestMomentInitNcig:
             ratio = est / truth
             assert 1.0 / 3.0 <= ratio <= 3.0, (name, est, truth)
 
+    def test_constant_data_is_a_data_error(self):
+        with pytest.raises(DataError, match="zero sample variance"):
+            moment_init_ncig(np.full(100, 2.0))
+
     def test_never_raises_on_platykurtic_data(self):
         rng = np.random.default_rng(19)
         data = rng.uniform(-1.0, 1.0, size=5000)

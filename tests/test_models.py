@@ -49,6 +49,18 @@ class TestNigDensity:
         with pytest.raises(InvalidParameterError):
             NigParams(mu=0.0, alpha=1.0, beta=0.0, delta=-1.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(-3.0, 0.0), (-3.0, 1.0), (-3.0, -2.5)])
+    def test_negative_alpha_rejected(self, alpha, beta):
+        # alpha^2 > beta^2 holds for each, but the law needs alpha > |beta|.
+        with pytest.raises(InvalidParameterError, match=r"alpha > \|beta\|"):
+            NigParams(mu=0.0, alpha=alpha, beta=beta, delta=1.0)
+
+    def test_underflowing_gamma_rejected(self):
+        # alpha > |beta|, but (alpha - beta)(alpha + beta) underflows to 0, and
+        # gamma divides the moments and the sampler's IG mean.
+        with pytest.raises(InvalidParameterError, match="gamma > 0"):
+            NigParams(mu=0.0, alpha=1e-170, beta=0.0, delta=1.0)
+
     def test_stable_at_extreme_alpha(self):
         # Near-normal regime: log pdf must match the Gaussian limit closely.
         sigma = 0.013
@@ -423,6 +435,22 @@ class TestNcigSampler:
         assert abs(k1 - mean) <= 3 * se_mean
         var, se_var = batch_se(draws, np.var)
         assert abs(k2 - var) <= 3 * se_var
+
+
+SAMPLERS = [(ig_sample, IgParams(lam=1.0, mu=2.0)),
+            (double_ig_sample, DoubleIgParams(IgParams(2.0, 0.5), IgParams(3.0, 0.7))),
+            (nig_sample, REF_NIG), (ncig_sample, REF_NCIG)]
+
+
+@pytest.mark.parametrize("sampler, params", SAMPLERS)
+class TestSampleSize:
+    def test_zero_draws_is_an_empty_array(self, sampler, params):
+        draws = sampler(params, 0, seed=1)
+        assert draws.shape == (0,) and draws.dtype == np.float64
+
+    def test_negative_size_rejected(self, sampler, params):
+        with pytest.raises(InvalidParameterError, match=">= 0"):
+            sampler(params, -1, seed=1)
 
 
 class TestStructuralIdentities:

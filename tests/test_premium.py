@@ -314,12 +314,31 @@ class TestCalibrate:
             calibrate_crra(0.06, 0.97, REF_NIG)   # feasible max is ~0.0566
 
     def test_large_crra_returns(self):
-        # a = 1e6: the 1e-10 tolerance lies below the float spacing of a, so
-        # the bisection ends on adjacent floats.
+        # a = 1e6 = target / sigma^2 in closed form: the premium crosses the
+        # target between a's neighbouring floats.
         model = NormalParams(mu=0.0, sigma=0.04)
         a = calibrate_crra(1600.0, 0.97, model)
         assert log_premium(model, math.nextafter(a, 0.0)) <= 1600.0 \
             <= log_premium(model, math.nextafter(a, math.inf))
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.0128671292, 0.04, 0.7, 3.0])
+    def test_normal_crra_is_target_over_variance(self, sigma):
+        model = NormalParams(mu=0.01, sigma=sigma)
+        for target in np.geomspace(1e-6, 10.0, 29):
+            a = calibrate_crra(float(target), 0.97, model)
+            assert a == float(target) / sigma ** 2
+            assert abs(log_premium(model, a) - target) <= 2.0 * math.ulp(float(target))
+
+    def test_normal_crra_past_1e12_returns(self):
+        model = NormalParams(mu=0.0, sigma=1e-7)
+        assert calibrate_crra(1.0, 0.97, model) == pytest.approx(1e14, rel=1e-15)
+
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-160])
+    def test_normal_variance_too_small_is_unattainable(self, sigma):
+        # sigma^2 underflows to 0 (1e-200) or target / sigma^2 overflows (1e-160,
+        # sigma^2 subnormal): no finite a reaches the target.
+        with pytest.raises(CalibrationError, match="unattainable"):
+            calibrate_crra(0.01, 0.97, NormalParams(mu=0.0, sigma=sigma))
 
     def test_grid_reaches_the_feasibility_edge(self):
         model = NcigParams(lam=50.0, mu=0.9, nu=0.1, sigma2=1.0)

@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -20,6 +21,27 @@ def test_no_assert_statements():
              for path in sorted(PACKAGE.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_raises_are_package_errors():
+    # Runtime invariants raise package errors, which the CLI maps to its
+    # documented exit codes; a bare ValueError or RuntimeError would escape
+    # as a traceback.  The CLI's own usage errors are the two exceptions.
+    from argparse import ArgumentTypeError
+    from levypremium.cli import CliConfigError
+    allowed = (levypremium.LevyPremiumError, CliConfigError, ArgumentTypeError)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "levypremium" if path.stem == "__init__" else f"levypremium.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise):
+                # The class a raise names, looked up where the module would.
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                cls = exc and eval(ast.unparse(exc), {**vars(builtins), **vars(module)})
+                if not (isinstance(cls, type) and issubclass(cls, allowed)):
+                    found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
