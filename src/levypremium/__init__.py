@@ -15,7 +15,7 @@ from .models import (DoubleIgParams, IgParams, Moments, NcigParams, NigParams,
                      ncig_mgf_log, ncig_moments, ncig_sample, nig_chf, nig_log_pdf,
                      nig_mgf_log, nig_moments, nig_pdf, nig_sample,
                      nig_shape_log_pdf)
-from .special import bessel_k1, bessel_k1e, log_bessel_k1, std_normal_cdf
+from .special import bessel_k0e, bessel_k1, bessel_k1e, log_bessel_k1, std_normal_cdf
 from .inversion import (GriddedDensity, InversionGrid, cdf_function, default_grid,
                         invert_chf, log_likelihood_from_grid, quantile_function)
 from .estimation import (FitResult, apply_selection_rule, bootstrap_se,

@@ -146,6 +146,8 @@ def _fit_payload(fit: FitResult, seed) -> dict:
         "objective_kind": fit.objective_kind,
         "converged": fit.converged,
         "iterations": fit.iterations,
+        "nfev": fit.nfev,
+        "message": fit.message,
         "log_likelihood": fit.log_likelihood,
         "flags": list(fit.flags),
         "init": params_to_dict(fit.init),

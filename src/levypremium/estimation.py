@@ -1,10 +1,11 @@
-"""Parameter estimation: closed-form normal MLE, simplex NIG MLE with
-method-of-moments initialization, and empirical-characteristic-function (ECF)
-fitting for the NCIG model with an FFT-based likelihood report.
+"""Parameter estimation: closed-form normal MLE, NIG MLE by L-BFGS-B with the
+closed-form score and a method-of-moments start, and
+empirical-characteristic-function (ECF) fitting for the NCIG model by
+simplex search, with an FFT-based likelihood report.
 
 Optimization runs in transformed coordinates (log for positive parameters;
 for NIG, the closed shape triangle of ``NigShape``, whose boundary laws lie
-at finite points), on data standardized to unit scale, so the simplex
+at finite points), on data standardized to unit scale, so the optimizer
 tolerances are scale-free.
 """
 
@@ -20,7 +21,8 @@ import numpy as np
 from .errors import DataError, FeasibilityError, InvalidParameterError, LevyPremiumError
 from .inversion import default_grid, invert_chf, log_likelihood_from_grid
 from .models import (NcigParams, NigParams, NigShape, NormalParams, double_ig_cumulants,
-                     ncig_chf, ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf)
+                     ncig_chf, ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf,
+                     _nig_shape_log_lik_score)
 
 __all__ = [
     "FitResult",
@@ -32,6 +34,11 @@ __all__ = [
 _MAX_ITERATIONS = 5000
 _XATOL = 1e-8
 _FATOL = 1e-9
+_FTOL = 1e-15           # NIG MLE: relative gain per step
+_GTOL = 1e-9            # NIG MLE: projected gradient
+_GRAD_FLOOR = 1e-5      # NIG MLE: relative projected gradient of a failed line search
+_EDGE_START = 1e-2      # an edge start's zero skew coordinate, relative to the other
+_CORNER_START = 1e-2    # NIG moment starts with pos + neg below this start at the normal law
 _SNAP = 1e-6            # NIG skew coordinates this small are tried at 0
 _BOUNDARY_NATS = 1e-7   # NIG parameters stand in for a boundary law to this
 _ECF_JITTER_SEED = 60481
@@ -46,6 +53,9 @@ class FitResult:
     ``objective_kind`` is ``"log_likelihood"`` (higher is better) or
     ``"ecf_distance"`` (lower is better).  For ECF fits the FFT-based
     log-likelihood is reported alongside in ``log_likelihood``.
+    ``iterations``, ``nfev`` and ``message`` are the optimizer's iterations,
+    objective evaluations and stop reason (0, 0 and ``"closed form"`` for
+    the normal MLE).
     """
 
     params: ModelParams
@@ -53,6 +63,8 @@ class FitResult:
     objective_kind: str
     converged: bool
     iterations: int
+    nfev: int
+    message: str
     init: ModelParams
     log_likelihood: Optional[float] = None
     flags: tuple = ()
@@ -99,7 +111,7 @@ def fit_normal_mle(data) -> FitResult:
     loglik = -0.5 * n * np.log(2.0 * np.pi * sigma2) - 0.5 * n
     return FitResult(params=p, objective=float(loglik),
                      objective_kind="log_likelihood", converged=True,
-                     iterations=0, init=p)
+                     iterations=0, nfev=0, message="closed form", init=p)
 
 
 # ---------------------------------------------------------------------------
@@ -167,19 +179,37 @@ def _finite_nig(shape: NigShape, target: float, loglik) -> tuple[NigParams, floa
     return best
 
 
+def _at_precision_floor(result) -> bool:
+    """Whether an L-BFGS-B search whose line search failed stopped where its
+    projected gradient, relative to the objective (Dennis & Schnabel 1983,
+    7.2), is below _GRAD_FLOOR: no step can then lower the objective by more
+    than its rounding, and the point counts as converged."""
+    grad = result.jac.copy()
+    grad[2:][(result.x[2:] <= 0.0) & (grad[2:] > 0.0)] = 0.0
+    scaled = np.abs(grad) * np.maximum(np.abs(result.x), 1.0)
+    return bool(np.max(scaled) <= _GRAD_FLOOR * max(abs(result.fun), 1.0))
+
+
 def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
-    """NIG MLE by bounded Nelder-Mead simplex over the closed NIG family.
+    """NIG MLE by L-BFGS-B over the closed NIG family, with the exact score.
 
     The search runs on standardized data in the ``NigShape`` coordinates
     (mean, ln sd, pos, neg), pos, neg >= 0, from ``init`` or from the sample
-    moments projected onto the family; it converges when the simplex diameter
-    falls below 1e-8.  The boundary of the shape triangle - the normal law and
-    the inverse-Gaussian edges - lies at finite points of that search space
-    and is evaluated exactly, so the fit nests the normal fit, and a
-    likelihood whose supremum lies on the boundary converges there with the
-    flag ``"normal limit"`` or ``"inverse-Gaussian edge"``.  Such a fit
-    returns finite NIG parameters next to the boundary law, within 1e-7 nats
-    of its log-likelihood.  The fit never falls below ``init``.
+    moments projected onto the family; an inverse-Gaussian edge start is
+    moved inside, its zero skew coordinate set to 1e-2 of the other, and a
+    start with pos + neg below 1e-2 starts at the normal law.  It is
+    given the log-likelihood with its closed-form score, one-sided on the
+    boundary, and converges when a step gains less than 1e-15 relative, when
+    the projected gradient falls below 1e-9, or when a line search fails at
+    the precision floor (``_at_precision_floor``).  The boundary of the shape
+    triangle - the normal law and the inverse-Gaussian edges - lies at
+    finite points of that search space and is evaluated exactly, so the fit
+    nests the normal fit, and a likelihood whose supremum lies on the
+    boundary converges there with the flag ``"normal limit"`` or
+    ``"inverse-Gaussian edge"``.  Such a fit returns finite NIG parameters
+    next to the boundary law, within 1e-7 nats of its log-likelihood.  The
+    fit never falls below ``init``.  ``iterations`` counts L-BFGS-B
+    iterations, ``nfev`` its evaluations of the log-likelihood and score.
     """
     from scipy import optimize
     arr = np.asarray(data, dtype=float)
@@ -201,22 +231,39 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
         return val if np.isfinite(val) else np.inf
 
     if init is None:
-        # An edge start can put data outside its support; the normal law cannot.
+        # An edge start can put data outside its support; the normal law
+        # cannot, and stands in for starts within _CORNER_START of it, where
+        # the interior score is formed by cancellation.
         theta0 = np.array([0.0, 0.0, 0.0, 0.0])
         start = _moment_shape(0.0, 1.0, skew, kurt)
-        if np.isfinite(neg_loglik([0.0, 0.0, start.pos, start.neg])):
-            theta0[2:] = start.pos, start.neg
+        if (start.pos + start.neg >= _CORNER_START
+                and np.isfinite(neg_loglik([0.0, 0.0, start.pos, start.neg]))):
+            theta0[2:] = start.pos or _EDGE_START * start.neg, start.neg or _EDGE_START * start.pos
     else:
         given = NigShape.from_params(init)
         theta0 = np.array([(given.mean - m) / scale, math.log(given.sd / scale),
                            given.pos, given.neg])
-    steps = np.diag([0.05, 0.05, max(0.1 * theta0[2], 0.01), max(0.1 * theta0[3], 0.01)])
+    # A trial outside an edge law's support gets a finite wall value above
+    # the start, so the line search backs off instead of failing.
+    wall = neg_loglik(theta0) + arr.size
+
+    def objective(theta):
+        try:
+            ll, score = _nig_shape_log_lik_score(shape_of(theta), z)
+        except (InvalidParameterError, FloatingPointError):
+            ll = -np.inf
+        if not (np.isfinite(ll) and np.all(np.isfinite(score))):
+            return wall, np.zeros(4)
+        return -ll, -score
+
     result = optimize.minimize(
-        neg_loglik, theta0, method="Nelder-Mead",
+        objective, theta0, jac=True, method="L-BFGS-B",
         bounds=[(None, None), (None, None), (0.0, None), (0.0, None)],
-        options={"maxiter": _MAX_ITERATIONS, "maxfev": 4 * _MAX_ITERATIONS,
-                 "xatol": _XATOL, "fatol": _FATOL,
-                 "initial_simplex": np.vstack([theta0, theta0 + steps])})
+        options={"maxiter": _MAX_ITERATIONS, "maxfun": 4 * _MAX_ITERATIONS,
+                 "ftol": _FTOL, "gtol": _GTOL})
+    converged, message = bool(result.success), str(result.message)
+    if result.status == 2 and _at_precision_floor(result):
+        converged, message = True, "LINE SEARCH FAILED AT THE PRECISION FLOOR"
     theta = _snap_to_boundary(result.x, neg_loglik)
 
     def loglik(p: NigParams) -> float:
@@ -231,7 +278,7 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
 
     params, ll = finite_nig(theta)
     boundary = shape_of(theta).boundary
-    flags = (() if result.success else ("optimizer stalled",)) + ((boundary,) if boundary else ())
+    flags = (() if converged else ("optimizer stalled",)) + ((boundary,) if boundary else ())
     if init is None:
         init = finite_nig(theta0)[0]
     else:
@@ -239,7 +286,8 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
         if init_ll > ll:
             params, ll = init, init_ll
     return FitResult(params=params, objective=ll, objective_kind="log_likelihood",
-                     converged=bool(result.success), iterations=int(result.nit),
+                     converged=converged, iterations=int(result.nit),
+                     nfev=int(result.nfev), message=message,
                      init=init, log_likelihood=ll, flags=flags)
 
 
@@ -448,6 +496,7 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
         per_start.append(FitResult(
             params=params, objective=float(res.fun), objective_kind="ecf_distance",
             converged=bool(res.success), iterations=int(res.nit),
+            nfev=int(res.nfev), message=str(res.message),
             init=_scale_ncig(_ncig_from_theta(theta_start), scale),
             log_likelihood=loglik, flags=flags))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError, QuadratureError
-from .special import bessel_k1e
+from .special import bessel_k0e, bessel_k1e
 
 __all__ = [
     "NigParams", "NigShape", "IgParams", "DoubleIgParams", "NcigParams", "NormalParams",
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 
+_EDGE_STEP = 1e-3   # one-sided difference step off an edge, relative to the other coordinate
+
+
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidParameterError(msg)
@@ -48,7 +51,8 @@ def _finite(*values: float) -> bool:
 
 @dataclass(frozen=True)
 class NigParams:
-    """NIG parameters (mu, alpha, beta, delta); requires alpha > |beta|, gamma > 0, delta > 0."""
+    """NIG parameters (mu, alpha, beta, delta); requires alpha > |beta|, a finite
+    gamma > 0 and delta > 0."""
 
     mu: float
     alpha: float
@@ -58,8 +62,9 @@ class NigParams:
     def __post_init__(self):
         _require(_finite(self.mu, self.alpha, self.beta, self.delta),
                  "NIG parameters must be finite")
-        _require(self.alpha > abs(self.beta) and self.gamma > 0.0,   # gamma may underflow
-                 f"NIG requires alpha > |beta|, gamma > 0 (alpha={self.alpha}, beta={self.beta})")
+        _require(self.alpha > abs(self.beta) and 0.0 < self.gamma < math.inf,   # gamma may under/overflow
+                 f"NIG requires alpha > |beta| and a finite gamma > 0 "
+                 f"(alpha={self.alpha}, beta={self.beta})")
         _require(self.delta > 0.0, f"NIG requires delta > 0 (got {self.delta})")
 
     @property
@@ -212,6 +217,7 @@ def _nig_log_pdf_core(r, alpha, beta, delta, gamma, slack, dev):
     denominator is a sum of nonnegative terms,
         alpha*q + beta*r = alpha*delta^2/(q + |r|) + slack*|r| + 2*max(beta*r, 0),
     so the density stays accurate as alpha -> inf, also with |beta| -> alpha.
+    Returns the log-density with q and K1e(alpha*q), which the score reuses.
     """
     q = np.hypot(delta, r)
     omega = alpha * q
@@ -219,8 +225,9 @@ def _nig_log_pdf_core(r, alpha, beta, delta, gamma, slack, dev):
     denom = (alpha * delta * delta / (q + abs_r) + slack * abs_r
              + 2.0 * np.maximum(beta * r, 0.0) + delta * gamma)
     # log K1(omega) = log K1e(omega) - omega
+    k1e = bessel_k1e(omega)
     return (math.log(alpha * delta / math.pi) - np.log(q)
-            + np.log(bessel_k1e(omega)) - dev * dev / denom)
+            + np.log(k1e) - dev * dev / denom), q, k1e
 
 
 def nig_log_pdf(p: NigParams, x):
@@ -232,8 +239,40 @@ def nig_log_pdf(p: NigParams, x):
     r = np.asarray(x, dtype=float) - p.mu
     g = p.gamma
     out = _nig_log_pdf_core(r, p.alpha, p.beta, p.delta, g,
-                            slack=p.alpha - abs(p.beta), dev=p.delta * p.beta - g * r)
+                            slack=p.alpha - abs(p.beta), dev=p.delta * p.beta - g * r)[0]
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _on_boundary(s: NigShape) -> bool:
+    """Whether ``nig_shape_log_pdf`` evaluates ``s`` by its boundary law."""
+    lo, hi = sorted((s.pos, s.neg))
+    return lo <= 1e-12 * hi or hi <= 1e-100
+
+
+def _boundary_log_pdf(s: NigShape, d):
+    """Log-density of the boundary law of ``s`` at offsets d = x - mean, and t.
+
+    X = mean + sd (Y' - 1)/k for a unit-mean IG Y' of skewness 3|k|,
+    k = pos - neg, and t = 1 + k d/sd; at k = 0 this is the normal law (t = 1).
+    """
+    t = 1.0 + (s.pos - s.neg) * d / s.sd
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (-0.5 * math.log(2.0 * math.pi * s.sd * s.sd) - 1.5 * np.log(t)
+               - d * d / (2.0 * s.sd * s.sd * t))
+    return np.where(t > 0.0, out, -np.inf), t
+
+
+def _interior_log_pdf(s: NigShape, d):
+    """NIG log-density of an interior ``s`` at offsets d = x - mean, with its
+    parameters, r = x - mu, q and K1e(alpha*q)."""
+    p = s.params()
+    root = math.sqrt(s.pos * s.neg)
+    r = d + (s.mean - p.mu)
+    out, q, k1e = _nig_log_pdf_core(r, p.alpha, p.beta, p.delta,
+                                    gamma=0.5 / (s.sd * root),
+                                    slack=0.5 / (s.sd * max(s.pos, s.neg)),
+                                    dev=-d / (2.0 * s.sd * root))
+    return out, p, r, q, k1e
 
 
 def nig_shape_log_pdf(s: NigShape, x):
@@ -246,22 +285,94 @@ def nig_shape_log_pdf(s: NigShape, x):
     that relative order, and its parameters overflow further in.
     """
     d = np.asarray(x, dtype=float) - s.mean
-    lo, hi = sorted((s.pos, s.neg))
-    if lo <= 1e-12 * hi or hi <= 1e-100:
-        # X = mean + sd (Y' - 1)/k for a unit-mean IG Y' of skewness 3|k|,
-        # k = pos - neg; at k = 0 this is the normal law (t = 1).
-        t = 1.0 + (s.pos - s.neg) * d / s.sd
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = (-0.5 * math.log(2.0 * math.pi * s.sd * s.sd) - 1.5 * np.log(t)
-                   - d * d / (2.0 * s.sd * s.sd * t))
-        out = np.where(t > 0.0, out, -np.inf)
-    else:
-        p = s.params()
-        root = math.sqrt(s.pos * s.neg)
-        out = _nig_log_pdf_core(d + (s.mean - p.mu), p.alpha, p.beta, p.delta,
-                                gamma=0.5 / (s.sd * root),
-                                slack=0.5 / (s.sd * hi), dev=-d / (2.0 * s.sd * root))
+    out = (_boundary_log_pdf if _on_boundary(s) else _interior_log_pdf)(s, d)[0]
     return float(out) if np.ndim(x) == 0 else out
+
+
+def _nig_shape_log_lik_score(s: NigShape, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """The log-likelihood sum(nig_shape_log_pdf(s, x)) and its gradient in
+    (mean, ln sd, pos, neg).
+
+    Inside the triangle the score is closed form.  NIG is the normal
+    variance-mean mixture of N(mu + beta V, V) over an inverse-Gaussian V of
+    mean delta/gamma and shape delta^2, so per point the score is the
+    conditional mean of the complete-data score.
+    With r = x - mu, q = sqrt(delta^2 + r^2) and R = K0(alpha q)/K1(alpha q)
+    (from d/dz ln K1(z) = -K0(z)/K1(z) - 1/z, DLMF 10.29.2), E[V | x] = q R/alpha
+    and E[1/V | x] = alpha R/q + 2/q^2, and the score of (delta, gamma, beta, mu)
+    is (1/delta + gamma - delta E[1/V | x], delta - gamma E[V | x],
+    r - beta E[V | x], r E[1/V | x] - beta).  It is chained through
+    ``NigShape.params``, with 1 - R from ``_k0_k1_gap``.  On the boundary the
+    derivatives along mean, ln sd and a nonzero skew coordinate are the
+    boundary law's.  A zero skew coordinate gets its one-sided derivative
+    into the triangle: at the normal corner the boundary law's
+    +-(1/2) sum H3(u), u = (x - mean)/sd, in closed form; on an edge a
+    Richardson-extrapolated forward difference.  Where x leaves an edge
+    law's support the sum is -inf and the gradient 0.
+    """
+    d = x - s.mean
+    a, b, sd = s.pos, s.neg, s.sd
+    if _on_boundary(s):
+        out, t = _boundary_log_pdf(s, d)
+        total = float(np.sum(out))
+        if not np.all(t > 0.0):
+            return -np.inf, np.zeros(4)
+        u = d / sd
+        dmean = (1.5 * (a - b) + u - (a - b) * u * u / (2.0 * t)) / (sd * t)
+        dk = float(np.sum(u * (u * u / (2.0 * t) - 1.5) / t))
+        grad = np.array([float(np.sum(dmean)), float(np.sum(d * dmean)) - x.size, dk, -dk])
+        if max(a, b) > 1e-100:
+            # D(h) = (f(h) - f(0))/h is f'(0) + O(h); 2 D(h/2) - D(h) is O(h^2).
+            zero = 3 if a > b else 2
+            h = _EDGE_STEP * max(a, b)
+            step = [np.sum(nig_shape_log_pdf(NigShape(s.mean, sd, *(
+                (a, hh) if zero == 3 else (hh, b))), x)) - total for hh in (h, 0.5 * h)]
+            grad[zero] = (4.0 * step[1] - step[0]) / h
+        return total, grad
+    out, p, r, q, k1e = _interior_log_pdf(s, d)
+    up, down = 0.5 / (sd * a), 0.5 / (sd * b)          # alpha - beta, alpha + beta
+    dd = p.delta * p.delta
+    qgap = q * _k0_k1_gap(p.alpha * q, k1e)            # q (1 - R)
+    near = dd / (q + np.abs(r))
+    plus = near + 2.0 * np.maximum(r, 0.0)             # q + r
+    minus = near + 2.0 * np.maximum(-r, 0.0)           # q - r
+    e1 = dd * (p.alpha * (q - qgap) + 2.0) / (q * q)   # delta^2 E[1/V | x]
+    # dl/dmu = r E[1/V | x] - beta, with alpha r/q - beta = (up (q + r) - down (q - r))/(2 q).
+    s_mu = ((up * plus - down * minus) / 2.0 - p.alpha * r * qgap / q + 2.0 * r / q) / q
+    # The terms of order 1/pos in the chain, collected into P_pos/(2 pos),
+    # with P_pos formed from terms that stay bounded as pos -> 0 (likewise
+    # for neg), so neither edge is approached by cancellation.
+    shared = 1.0 + dd * (p.alpha * qgap - 2.0) / (q * q)
+    p_pos = shared - up * qgap + (up * plus * plus - down * dd) / (2.0 * q)
+    p_neg = shared - down * qgap + (down * minus * minus - up * dd) / (2.0 * q)
+    sa, total_mu = a + b, float(np.sum(s_mu))
+    common = -2.0 / sa * float(np.sum(1.0 + 1.0 / (sa * sa) - e1))
+    grad = np.array([
+        total_mu,
+        float(np.sum(d * s_mu)) - x.size,
+        float(np.sum(p_pos)) / (2.0 * a) + common - total_mu * sd * (3.0 * b - a) / sa ** 3,
+        float(np.sum(p_neg)) / (2.0 * b) + common + total_mu * sd * (3.0 * a - b) / sa ** 3])
+    return float(np.sum(out)), grad
+
+
+def _k0_k1_gap(z, k1e):
+    """1 - K0(z)/K1(z), given k1e = K1e(z), to 1e-13 relative: directly below
+    z = 1e3, above it from the Hankel expansions of K0 and K1 (DLMF 10.40.2)
+    to five terms, differenced term by term, so it does not cancel."""
+    gap = np.empty_like(z)
+    small = z < 1e3
+    gap[small] = 1.0 - bessel_k0e(z[small]) / k1e[small]
+    w = 1.0 / z[~small]
+    c0 = c1 = power = k1_series = 1.0
+    diff = 0.0
+    for k in range(1, 6):
+        c0 *= -(2 * k - 1) ** 2 / (8.0 * k)
+        c1 *= (4 - (2 * k - 1) ** 2) / (8.0 * k)
+        power = power * w
+        k1_series = k1_series + c1 * power
+        diff = diff + (c1 - c0) * power
+    gap[~small] = diff / k1_series
+    return gap
 
 
 def nig_pdf(p: NigParams, x):

@@ -485,3 +485,39 @@ class TestArgumentErrors:
     def test_negative_forward_crra_is_a_domain_error(self):
         assert run("calibrate", "--reference", "ncig", "--target-premium", "0.05",
                    "--forward-a", "10,-1") == EXIT_FEASIBILITY
+
+
+class TestOverflowingNigGamma:
+    # alpha > |beta|, but gamma = sqrt((alpha - beta)(alpha + beta)) overflows.
+    PAYLOAD = {"model": "nig", "params": {"mu": 0, "alpha": 1e200, "beta": 0, "delta": 1}}
+
+    def test_calibrate_is_a_parameter_error(self, tmp_path):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(self.PAYLOAD))
+        assert run("calibrate", "--fit", str(fit_path), "--target-premium", "0.05",
+                   "--out", str(tmp_path / "out")) == EXIT_FEASIBILITY
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_is_a_parameter_error(self, tmp_path):
+        out = tmp_path / "draws.csv"
+        assert run("simulate", "--params-json", json.dumps(self.PAYLOAD),
+                   "--n", "3", "--seed", "1", "--out", str(out)) == EXIT_FEASIBILITY
+        assert not out.exists()
+
+
+class TestFitDiagnostics:
+    def test_fit_json_reports_evaluations_and_stop_reason(self, tmp_path):
+        data_csv = tmp_path / "data.csv"
+        run("simulate", "--reference", "nig", "--n", "3000", "--seed", "8",
+            "--out", str(data_csv))
+        for model in ("normal", "nig"):
+            for out in ("a", "b"):
+                assert run("fit", "--model", model, "--input", str(data_csv), "--seed", "8",
+                           "--out", str(tmp_path / out)) == EXIT_OK
+            first = (tmp_path / "a" / f"fit_{model}.json").read_bytes()
+            assert first == (tmp_path / "b" / f"fit_{model}.json").read_bytes()
+        normal = read_json(tmp_path / "a" / "fit_normal.json")
+        assert (normal["nfev"], normal["message"]) == (0, "closed form")
+        nig = read_json(tmp_path / "a" / "fit_nig.json")
+        assert nig["converged"] and 0 < nig["nfev"] <= 100
+        assert isinstance(nig["message"], str) and nig["message"]

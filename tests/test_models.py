@@ -3,18 +3,20 @@ against quadrature and Monte-Carlo oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
 from levypremium import (
-    DomainError, DoubleIgParams, IgParams, InvalidParameterError, NcigParams,
+    DomainError, DoubleIgParams, bessel_k1e, IgParams, InvalidParameterError, NcigParams,
     NigParams, NigShape, double_ig_cumulants, double_ig_mgf_log, double_ig_pdf,
     double_ig_sample, ig_laplace_exponent, ig_pdf, ig_sample, ncig_chf,
     ncig_cumulants, ncig_levy_exponent, ncig_mgf_log, ncig_sample, nig_chf,
     nig_log_pdf, nig_mgf_log, nig_moments, nig_pdf, nig_sample, nig_shape_log_pdf,
 )
 from levypremium.cli import REFERENCE_MODELS
+from levypremium.models import _k0_k1_gap, _nig_shape_log_lik_score
 
 from oracles import mc_mean_se, nig_chf_mp, nig_log_pdf_mp, quadrature_cdf
 
@@ -489,3 +491,99 @@ class TestStructuralIdentities:
         sub = -(lam_t / mu_t) * (1.0 - np.sqrt(1.0 + (2.0 * mu_t ** 2 / lam_t) * psi_b))
         direct = -np.log(nig_chf(p, u))
         assert np.max(np.abs(sub - direct)) < 1e-10
+
+
+def _summed_shape_log_pdf(theta, x):
+    mean, ln_sd, pos, neg = theta
+    return float(np.sum(nig_shape_log_pdf(NigShape(mean, math.exp(ln_sd), pos, neg), x)))
+
+
+def _numeric_score(theta, x, one_sided=()):
+    """Richardson-extrapolated differences of the summed log-density in
+    (mean, ln sd, pos, neg): central, or forward for the coordinates in
+    ``one_sided``; their error is O(h^2) either way."""
+    theta = np.asarray(theta, dtype=float)
+    f0 = _summed_shape_log_pdf(theta, x)
+    out = []
+    for i in range(4):
+        h = 1e-4 * max(abs(theta[i]), 0.1)
+        step = np.eye(4)[i]
+
+        def diff(width):
+            if i in one_sided:
+                return (_summed_shape_log_pdf(theta + width * step, x) - f0) / width
+            return (_summed_shape_log_pdf(theta + width * step, x)
+                    - _summed_shape_log_pdf(theta - width * step, x)) / (2.0 * width)
+
+        coarse, fine = diff(h), diff(h / 2.0)
+        out.append(2.0 * fine - coarse if i in one_sided else (4.0 * fine - coarse) / 3.0)
+    return np.array(out)
+
+
+class TestNigShapeScore:
+    """The closed-form score of the summed ``nig_shape_log_pdf`` behind the
+    NIG MLE, in (mean, ln sd, pos, neg), one-sided on the boundary."""
+
+    @staticmethod
+    def standardized(data):
+        return (data - data.mean()) / data.std()
+
+    def check(self, theta, x, one_sided=()):
+        value, score = _nig_shape_log_lik_score(
+            NigShape(theta[0], math.exp(theta[1]), theta[2], theta[3]), x)
+        assert value == _summed_shape_log_pdf(theta, x)
+        numeric = _numeric_score(theta, x, one_sided)
+        assert score == pytest.approx(numeric, rel=1e-6, abs=1e-6 * np.max(np.abs(numeric)))
+
+    def test_interior(self):
+        x = self.standardized(nig_sample(REF_NIG, 2000, seed=31))
+        self.check([0.05, 0.02, 0.7, 1.2], x)
+
+    def test_near_the_normal_corner(self):
+        x = self.standardized(nig_sample(REF_NIG, 2000, seed=32))
+        self.check([0.01, -0.01, 0.02, 0.03], x)
+
+    @pytest.mark.parametrize("zero", [2, 3])
+    def test_inverse_gaussian_edges(self, zero):
+        x = self.standardized(np.random.default_rng(33).normal(size=2000))
+        theta = [0.01, 0.01, 0.1, 0.1]
+        theta[zero] = 0.0
+        self.check(theta, x, one_sided=(zero,))
+
+    def test_normal_corner(self):
+        x = self.standardized(np.random.default_rng(34).normal(size=2000))
+        theta = [0.01, 0.01, 0.0, 0.0]
+        self.check(theta, x, one_sided=(2, 3))
+        # There the pos, neg derivatives are +-(1/2) sum H3(u), u = (x - mean)/sd.
+        u = (x - 0.01) / math.exp(0.01)
+        half_h3 = 0.5 * float(np.sum(u ** 3 - 3.0 * u))
+        score = _nig_shape_log_lik_score(NigShape(0.01, math.exp(0.01), 0.0, 0.0), x)[1]
+        assert score[2:] == pytest.approx([half_h3, -half_h3], rel=1e-12)
+
+    def test_continuous_towards_an_edge(self):
+        # The interior score keeps its precision next to an edge, where the
+        # NIG parameters diverge, and tends to the edge's one-sided score.
+        x = self.standardized(np.random.default_rng(35).normal(size=2000))
+        edge = _nig_shape_log_lik_score(NigShape(0.01, 1.01, 0.1, 0.0), x)[1]
+        near = _nig_shape_log_lik_score(NigShape(0.01, 1.01, 0.1, 1e-8), x)[1]
+        assert near == pytest.approx(edge, rel=1e-5)
+
+    def test_outside_an_edge_support(self):
+        x = np.array([-20.0, 0.0, 1.0])      # support of this edge law: x > -10
+        value, score = _nig_shape_log_lik_score(NigShape(0.0, 1.0, 0.1, 0.0), x)
+        assert value == -np.inf and np.all(score == 0.0)
+
+    @pytest.mark.parametrize("z", [0.5, 10.0, 999.0, 1000.0, 1001.0, 3e4, 1e8])
+    def test_bessel_ratio_gap(self, z):
+        # 1 - K0/K1 on either side of the switch to the Hankel expansions.
+        zz = np.array([z])
+        with mpmath.workdps(40):
+            truth = float(1 - mpmath.besselk(0, z) / mpmath.besselk(1, z))
+        assert _k0_k1_gap(zz, bessel_k1e(zz))[0] == pytest.approx(truth, rel=1e-13)
+
+
+def test_overflowing_nig_gamma_rejected():
+    # alpha > |beta|, but (alpha - beta)(alpha + beta) overflows, so gamma is
+    # inf: the sampler would draw NaN and the premium engine a CRRA of 1e154.
+    with pytest.raises(InvalidParameterError, match="finite gamma > 0"):
+        NigParams(mu=0.0, alpha=1e200, beta=0.0, delta=1.0)

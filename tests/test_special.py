@@ -4,12 +4,14 @@ import csv
 import math
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypremium import DomainError, bessel_k1, bessel_k1e, log_bessel_k1, std_normal_cdf
+from levypremium import (DomainError, bessel_k0e, bessel_k1, bessel_k1e, log_bessel_k1,
+                         std_normal_cdf)
 
 from oracles import bessel_kn_quadrature, log_bessel_k1_quadrature, std_normal_cdf_series
 
@@ -133,3 +135,21 @@ class TestStdNormalCdf:
             std_normal_cdf(math.nan)
         with pytest.raises(DomainError):
             std_normal_cdf(np.array([0.0, math.nan, 1.0]))
+
+
+class TestBesselK0e:
+    @pytest.mark.parametrize("x", [0.05, 1.0, 7.5, 120.0, 900.0])
+    def test_against_quadrature(self, x):
+        truth = float(bessel_kn_quadrature(0, x, dps=30) * mpmath.exp(x))
+        assert bessel_k0e(x) == pytest.approx(truth, rel=1e-13)
+
+    def test_array_in_array_out(self):
+        x = np.array([0.5, 2.0, 40.0])
+        out = bessel_k0e(x)
+        assert isinstance(out, np.ndarray) and out.shape == x.shape
+        assert isinstance(bessel_k0e(2.0), float)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_domain_errors(self, bad):
+        with pytest.raises(DomainError):
+            bessel_k0e(bad)
