@@ -527,7 +527,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:   # OSError: an output path that cannot be written
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except LevyPremiumError as exc:   # domain, parameters, grid, calibration, quadrature
+    except LevyPremiumError as exc:   # domain, parameters, grid, calibration
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_FEASIBILITY
 

@@ -1,5 +1,4 @@
-"""CSV ingestion of dated series and the transforms into growth-rate and
-real-return series.
+"""CSV ingestion of dated series and their transform into growth-rate series.
 
 CSV contract: header row required, ISO-8601 dates (YYYY-MM or YYYY-MM-DD),
 plain decimal values, UTF-8.  Records are returned date-sorted; duplicate
@@ -19,7 +18,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "SeriesRecord", "GrowthSeries", "load_csv", "log_growth", "real_return",
+    "SeriesRecord", "GrowthSeries", "load_csv", "log_growth",
     "resample_monthly_locf", "write_series_csv",
 ]
 
@@ -118,22 +117,6 @@ def log_growth(records: Sequence[SeriesRecord], period: str) -> GrowthSeries:
     series = GrowthSeries(log_growth=np.diff(np.log(values)), period=period)
     _check_contiguous(records, period)
     return series
-
-
-def real_return(nominal: Sequence[SeriesRecord], deflator: Sequence[SeriesRecord],
-                period: str) -> GrowthSeries:
-    """Log real return: nominal log growth minus deflator log growth on
-    exactly matching dates."""
-    dates_n = [r.date for r in nominal]
-    dates_d = [r.date for r in deflator]
-    if dates_n != dates_d:
-        unmatched = sorted(set(dates_n).symmetric_difference(dates_d))
-        shown = ", ".join(d.isoformat() for d in unmatched[:8])
-        more = "" if len(unmatched) <= 8 else f" (+{len(unmatched) - 8} more)"
-        raise DataError(f"date misalignment between series: {shown}{more}")
-    nom = log_growth(nominal, period)
-    dfl = log_growth(deflator, period)
-    return GrowthSeries(log_growth=nom.log_growth - dfl.log_growth, period=period)
 
 
 def resample_monthly_locf(records: Sequence[SeriesRecord]) -> list[SeriesRecord]:

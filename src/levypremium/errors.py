@@ -21,13 +21,5 @@ class GridError(LevyPremiumError, ValueError):
     """An inversion grid cannot represent the requested density or datum."""
 
 
-class QuadratureError(LevyPremiumError, RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-class FeasibilityError(DomainError):
-    """A moment combination or parameter target is infeasible for the family."""
-
-
 class CalibrationError(LevyPremiumError, RuntimeError):
     """Root-finding for the risk-aversion coefficient cannot proceed."""

@@ -14,11 +14,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DataError, FeasibilityError, InvalidParameterError, LevyPremiumError
+from .errors import DataError, InvalidParameterError, LevyPremiumError
 from .inversion import default_grid, invert_chf, log_likelihood_from_grid
 from .models import (NcigParams, NigParams, NigShape, NormalParams, double_ig_cumulants,
                      ncig_chf, ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf,
@@ -26,9 +26,9 @@ from .models import (NcigParams, NigParams, NigShape, NormalParams, double_ig_cu
 
 __all__ = [
     "FitResult",
-    "fit_normal_mle", "fit_nig_mle", "moment_init_nig",
+    "fit_normal_mle", "fit_nig_mle",
     "ecf_objective", "default_ecf_config", "fit_ncig_ecf", "moment_init_ncig",
-    "apply_selection_rule", "bootstrap_se", "normal_log_likelihood",
+    "bootstrap_se",
 ]
 
 _MAX_ITERATIONS = 5000
@@ -92,14 +92,6 @@ def _sample_stats(data: np.ndarray) -> tuple[float, float, float, float]:
     return m, v, m3 / v ** 1.5, m4 / v ** 2 - 3.0
 
 
-def normal_log_likelihood(data: np.ndarray, p: NormalParams) -> float:
-    """Exact normal log-likelihood of ``data`` under N(mu, sigma^2)."""
-    arr = np.asarray(data, dtype=float)
-    n = arr.size
-    return float(-0.5 * n * np.log(2.0 * np.pi * p.sigma ** 2)
-                 - 0.5 * np.sum((arr - p.mu) ** 2) / p.sigma ** 2)
-
-
 def fit_normal_mle(data) -> FitResult:
     """Closed-form normal MLE: sample mean and divisor-n standard deviation."""
     arr = np.asarray(data, dtype=float)
@@ -118,15 +110,6 @@ def fit_normal_mle(data) -> FitResult:
 # NIG maximum likelihood
 # ---------------------------------------------------------------------------
 
-def moment_init_nig(data) -> NigParams:
-    """NIG parameters whose analytic moments equal the sample's first four.
-
-    Feasible only when excess kurtosis k > (5/3) s^2 for skewness s.
-    """
-    m, v, s, k = _sample_stats(np.asarray(data, dtype=float))
-    return _invert_nig_moments(m, v, s, k)
-
-
 def _moment_shape(m: float, v: float, s: float, k: float) -> NigShape:
     """The member of the closed NIG family with mean m, variance v, skewness s
     and, inside the NIG moment region k > (5/3) s^2, excess kurtosis k;
@@ -137,26 +120,18 @@ def _moment_shape(m: float, v: float, s: float, k: float) -> NigShape:
                     neg=0.5 * (spread - skew))
 
 
-def _invert_nig_moments(m: float, v: float, s: float, k: float) -> NigParams:
-    shape = _moment_shape(m, v, s, k)
-    if shape.boundary is not None:
-        raise FeasibilityError(
-            f"moment combination infeasible for NIG: excess kurtosis {k:.6g} "
-            f"<= (5/3) skewness^2 = {(5.0 / 3.0) * s * s:.6g}")
-    return shape.params()
-
-
-def _snap_to_boundary(theta: np.ndarray, neg_loglik) -> np.ndarray:
+def _snap_to_boundary(theta: np.ndarray, f: float, neg_loglik) -> tuple[np.ndarray, float]:
     """Move skew coordinates within _SNAP of 0 onto the boundary (the normal
-    corner first, then either edge) where that costs at most _FATOL nats."""
-    f = neg_loglik(theta)
+    corner first, then either edge) where that costs at most _FATOL nats over
+    ``theta``'s value ``f``; the point kept and its value."""
     for zeros in ([2, 3], [2], [3]):
         if np.all(theta[zeros] <= _SNAP):
             cand = theta.copy()
             cand[zeros] = 0.0
-            if neg_loglik(cand) <= f + _FATOL:
-                return cand
-    return theta
+            f_cand = neg_loglik(cand)
+            if f_cand <= f + _FATOL:
+                return cand, f_cand
+    return theta, f
 
 
 def _finite_nig(shape: NigShape, target: float, loglik) -> tuple[NigParams, float]:
@@ -245,7 +220,8 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
                            given.pos, given.neg])
     # A trial outside an edge law's support gets a finite wall value above
     # the start, so the line search backs off instead of failing.
-    wall = neg_loglik(theta0) + arr.size
+    f0 = neg_loglik(theta0)
+    wall = f0 + arr.size
 
     def objective(theta):
         try:
@@ -264,23 +240,28 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     converged, message = bool(result.success), str(result.message)
     if result.status == 2 and _at_precision_floor(result):
         converged, message = True, "LINE SEARCH FAILED AT THE PRECISION FLOOR"
-    theta = _snap_to_boundary(result.x, neg_loglik)
+    # The search's value at result.x is neg_loglik's, unless it is the wall.
+    f = neg_loglik(result.x) if result.fun == wall else float(result.fun)
+    theta, f = _snap_to_boundary(result.x, f, neg_loglik)
 
     def loglik(p: NigParams) -> float:
         return float(np.sum(nig_log_pdf(p, arr)))
 
-    def finite_nig(theta) -> tuple[NigParams, float]:
-        # Back to data units; the log-likelihood gains the Jacobian of the
-        # standardization.
+    def data_shape(theta) -> NigShape:
         shape = shape_of(theta)
-        shape = dataclasses.replace(shape, mean=m + scale * shape.mean, sd=scale * shape.sd)
-        return _finite_nig(shape, -neg_loglik(theta) - arr.size * math.log(scale), loglik)
+        return dataclasses.replace(shape, mean=m + scale * shape.mean, sd=scale * shape.sd)
 
-    params, ll = finite_nig(theta)
+    def finite_nig(theta, f) -> tuple[NigParams, float]:
+        # In data units the log-likelihood gains the Jacobian of the
+        # standardization.
+        return _finite_nig(data_shape(theta), -f - arr.size * math.log(scale), loglik)
+
+    params, ll = finite_nig(theta, f)
     boundary = shape_of(theta).boundary
     flags = (() if converged else ("optimizer stalled",)) + ((boundary,) if boundary else ())
     if init is None:
-        init = finite_nig(theta0)[0]
+        start = data_shape(theta0)   # an interior start needs no log-likelihood
+        init = start.params() if start.boundary is None else finite_nig(theta0, f0)[0]
     else:
         init_ll = loglik(init)
         if init_ll > ll:
@@ -440,8 +421,9 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
     ``default_ecf_config`` act at their design scale.  When each start stops,
     converged or stalled, the FFT-based log-likelihood of the original data
     is computed, and the start with the largest one is selected even if it
-    stalled (the fit then reports converged=False); a fit whose likelihood
-    trails a NIG baseline is flagged by ``apply_selection_rule``, not failed.
+    stalled (the fit then reports converged=False).  Without that
+    log-likelihood the start with the smallest ECF distance is selected; ties
+    go to the first start.
     """
     from scipy import optimize
     arr = np.asarray(data, dtype=float)
@@ -500,28 +482,8 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
             init=_scale_ncig(_ncig_from_theta(theta_start), scale),
             log_likelihood=loglik, flags=flags))
 
-    return apply_selection_rule(per_start)
-
-
-def apply_selection_rule(fits: Sequence[FitResult],
-                         nig_log_likelihood: Optional[float] = None) -> FitResult:
-    """Selection rule over candidate fits: keep the largest likelihood value;
-    when a NIG baseline is supplied, flag (not fail) a winner that does not
-    exceed it."""
-    if not fits:
-        raise InvalidParameterError("apply_selection_rule needs at least one fit")
-
-    def key(f: FitResult):
-        if f.log_likelihood is not None:
-            return f.log_likelihood
-        return -f.objective if f.objective_kind == "ecf_distance" else f.objective
-
-    best = max(fits, key=key)
-    if (nig_log_likelihood is not None and best.log_likelihood is not None
-            and best.log_likelihood <= nig_log_likelihood):
-        best = dataclasses.replace(
-            best, flags=best.flags + ("likelihood below NIG baseline",))
-    return best
+    return max(per_start, key=lambda f: f.log_likelihood if compute_log_likelihood
+               else -f.objective)
 
 
 def bootstrap_se(data, fitter, n_resamples: int = 200, seed: int = 0) -> dict:
@@ -530,6 +492,8 @@ def bootstrap_se(data, fitter, n_resamples: int = 200, seed: int = 0) -> dict:
     ``fitter`` maps a resampled array to a parameter dataclass; returns a dict
     of per-field standard deviations across ``n_resamples`` resamples.
     """
+    if n_resamples < 2:
+        raise InvalidParameterError("bootstrap_se needs n_resamples >= 2")
     arr = np.asarray(data, dtype=float)
     rng = np.random.default_rng(seed)
     rows = []

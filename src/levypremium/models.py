@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError, QuadratureError
+from .errors import DomainError, InvalidParameterError
 from .special import bessel_k0e, bessel_k1e
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "Moments",
     "nig_log_pdf", "nig_shape_log_pdf", "nig_pdf", "nig_chf", "nig_mgf_log", "nig_moments",
     "ig_pdf", "ig_laplace_exponent",
-    "double_ig_mgf_log", "double_ig_pdf", "double_ig_cumulants",
+    "double_ig_mgf_log", "double_ig_cumulants",
     "ncig_levy_exponent", "ncig_chf", "ncig_mgf_log", "ncig_cumulants",
     "ncig_moments",
     "ig_sample", "nig_sample", "double_ig_sample", "ncig_sample",
@@ -491,58 +491,6 @@ def double_ig_cumulants(p: DoubleIgParams) -> tuple[float, float, float, float]:
 def _ig_cumulants(p: IgParams) -> tuple[float, float, float, float]:
     m, l = p.mu, p.lam
     return m, m ** 3 / l, 3.0 * m ** 5 / l ** 2, 15.0 * m ** 7 / l ** 3
-
-
-_DOUBLE_IG_ABS_TOL = 1e-8   # double_ig_pdf: bound on the summed quadrature error
-
-
-def double_ig_pdf(p: DoubleIgParams, x: float) -> float:
-    """Density of V(1) at x > 0 by adaptive quadrature of the mixture integral
-
-        f(x) = (1/2pi) sqrt(lam_T lam_U / x^3)
-               * int_0^inf u^{-1/2} exp(-lam_T (x - mu_T u)^2 / (2 mu_T^2 x)
-                                        - lam_U (u - mu_U)^2 / (2 mu_U^2 u)) du.
-
-    This is an oracle-grade routine (scalar x), not a hot path.
-    """
-    from scipy import integrate
-    if x <= 0.0:
-        raise DomainError("doubly subordinated IG density requires x > 0")
-    lt, mt = p.outer.lam, p.outer.mu
-    lu, mu_ = p.inner.lam, p.inner.mu
-    prefactor = math.sqrt(lt * lu / x ** 3) / (2.0 * math.pi)
-
-    def integrand(u):
-        expo = (-lt * (x - mt * u) ** 2 / (2.0 * mt * mt * x)
-                - lu * (u - mu_) ** 2 / (2.0 * mu_ * mu_ * u))
-        return prefactor * math.exp(expo) / math.sqrt(u) if expo > -745.0 else 0.0
-
-    # Breakpoints near both factor peaks keep quad from missing narrow modes.
-    peak_t = x / mt
-    width_t = math.sqrt(mt * x / lt) / mt
-    width_u = math.sqrt(mu_ ** 3 / lu)
-    pts = sorted({max(v, 1e-300) for v in (
-        peak_t - 4 * width_t, peak_t, peak_t + 4 * width_t,
-        mu_ - 4 * width_u, mu_, mu_ + 4 * width_u)})
-    hi = max(peak_t + 12 * width_t, mu_ + 12 * width_u, 1.0)
-    segments = [0.0] + [v for v in pts if 0.0 < v < hi] + [hi]
-
-    seg_tol = 0.1 * _DOUBLE_IG_ABS_TOL / len(segments)
-    total, err_total = 0.0, 0.0
-    for a, b in zip(segments[:-1], segments[1:]):
-        val, err = integrate.quad(integrand, a, b, epsabs=seg_tol, epsrel=1e-10,
-                                  limit=200)
-        total += val
-        err_total += err
-    tail, tail_err = integrate.quad(integrand, hi, np.inf, epsabs=seg_tol, limit=200)
-    total += tail
-    err_total += tail_err
-
-    if err_total > _DOUBLE_IG_ABS_TOL:
-        raise QuadratureError(
-            f"doubly subordinated IG density quadrature error {err_total:.3g} "
-            f"exceeds {_DOUBLE_IG_ABS_TOL} at x = {x}")
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from scipy.special import k0e, k1, k1e, ndtr
 
 from .errors import DomainError
 
-__all__ = ["bessel_k0e", "bessel_k1", "bessel_k1e", "log_bessel_k1", "std_normal_cdf"]
+__all__ = ["bessel_k0e", "bessel_k1", "bessel_k1e", "std_normal_cdf"]
 
 
 def _validated(x):
@@ -45,12 +45,6 @@ def bessel_k0e(x):
 def bessel_k1e(x):
     """Exponentially scaled K1: e^x K1(x). Stable for arbitrarily large x."""
     return _like(x, k1e(_validated(x)))
-
-
-def log_bessel_k1(x):
-    """ln K1(x) = ln k1e(x) - x, without intermediate under/overflow."""
-    arr = _validated(x)
-    return _like(x, np.log(k1e(arr)) - arr)
 
 
 def std_normal_cdf(x):

@@ -38,20 +38,6 @@ def bessel_k1_quadrature(x: float, dps: int = 30) -> float:
     return float(bessel_kn_quadrature(1, x, dps))
 
 
-def log_bessel_k1_quadrature(x: float, dps: int = 30) -> float:
-    """ln K1(x) via the scaled quadrature (no underflow for large x)."""
-    with mp.workdps(dps):
-        xv = mp.mpf(x)
-        lim = (dps + 8) * mp.log(10)
-        t_max = mp.acosh(1 + lim / xv)
-        s = mp.sqrt(xv)
-        pts = sorted({mp.mpf(0)} | {min(t_max, c / s) for c in (mp.mpf("0.5"), 2, 8)}
-                     | {t_max / 2, t_max})
-        integral = mp.quad(
-            lambda t: mp.exp(-xv * (mp.cosh(t) - 1)) * mp.cosh(t), pts)
-        return float(mp.log(integral) - xv)
-
-
 def std_normal_cdf_series(x: float, dps: int = 30) -> float:
     """Phi(x) = 1/2 + 1/2 erf(x / sqrt 2) with erf from its Maclaurin series."""
     with mp.workdps(dps):
@@ -123,6 +109,68 @@ def frosini_asymptotic_cdf_mp(x: float, dps: int = 20) -> mp.mpf:
             total += 2 * third * y ** (-third) * mp.quad(integrand, [w0, y]) / (ap * mp.sqrt(b))
             j += 1
         return +(mp.sqrt(2 * mp.pi) * mp.mpf(2) ** (-2 * third) * total)
+
+
+def normal_log_likelihood(data: np.ndarray, p) -> float:
+    """Normal log-likelihood of ``data`` under N(p.mu, p.sigma^2), summed over
+    the points."""
+    arr = np.asarray(data, dtype=float)
+    n = arr.size
+    return float(-0.5 * n * np.log(2.0 * np.pi * p.sigma ** 2)
+                 - 0.5 * np.sum((arr - p.mu) ** 2) / p.sigma ** 2)
+
+
+_DOUBLE_IG_ABS_TOL = 1e-8   # double_ig_pdf: bound on the summed quadrature error
+
+
+def double_ig_pdf(p, x: float) -> float:
+    """Density at x > 0 of the doubly subordinated IG clock V(1) = T(U(1)) of
+    ``p`` (a ``DoubleIgParams``) by adaptive quadrature of the mixture integral
+
+        f(x) = (1/2pi) sqrt(lam_T lam_U / x^3)
+               * int_0^inf u^{-1/2} exp(-lam_T (x - mu_T u)^2 / (2 mu_T^2 x)
+                                        - lam_U (u - mu_U)^2 / (2 mu_U^2 u)) du.
+
+    Raises RuntimeError when the summed quadrature error estimate exceeds
+    _DOUBLE_IG_ABS_TOL.
+    """
+    if x <= 0.0:
+        raise ValueError("doubly subordinated IG density requires x > 0")
+    lt, mt = p.outer.lam, p.outer.mu
+    lu, mu_ = p.inner.lam, p.inner.mu
+    prefactor = math.sqrt(lt * lu / x ** 3) / (2.0 * math.pi)
+
+    def integrand(u):
+        expo = (-lt * (x - mt * u) ** 2 / (2.0 * mt * mt * x)
+                - lu * (u - mu_) ** 2 / (2.0 * mu_ * mu_ * u))
+        return prefactor * math.exp(expo) / math.sqrt(u) if expo > -745.0 else 0.0
+
+    # Breakpoints near both factor peaks keep quad from missing narrow modes.
+    peak_t = x / mt
+    width_t = math.sqrt(mt * x / lt) / mt
+    width_u = math.sqrt(mu_ ** 3 / lu)
+    pts = sorted({max(v, 1e-300) for v in (
+        peak_t - 4 * width_t, peak_t, peak_t + 4 * width_t,
+        mu_ - 4 * width_u, mu_, mu_ + 4 * width_u)})
+    hi = max(peak_t + 12 * width_t, mu_ + 12 * width_u, 1.0)
+    segments = [0.0] + [v for v in pts if 0.0 < v < hi] + [hi]
+
+    seg_tol = 0.1 * _DOUBLE_IG_ABS_TOL / len(segments)
+    total, err_total = 0.0, 0.0
+    for a, b in zip(segments[:-1], segments[1:]):
+        val, err = integrate.quad(integrand, a, b, epsabs=seg_tol, epsrel=1e-10,
+                                  limit=200)
+        total += val
+        err_total += err
+    tail, tail_err = integrate.quad(integrand, hi, np.inf, epsabs=seg_tol, limit=200)
+    total += tail
+    err_total += tail_err
+
+    if err_total > _DOUBLE_IG_ABS_TOL:
+        raise RuntimeError(
+            f"doubly subordinated IG density quadrature error {err_total:.3g} "
+            f"exceeds {_DOUBLE_IG_ABS_TOL} at x = {x}")
+    return total
 
 
 def quadrature_cdf(pdf, lower: float, grid: np.ndarray) -> np.ndarray:

@@ -3,11 +3,10 @@
 import datetime as dt
 import math
 
-import numpy as np
 import pytest
 
 from levypremium import (
-    DataError, SeriesRecord, load_csv, log_growth, real_return,
+    DataError, SeriesRecord, load_csv, log_growth,
     resample_monthly_locf, write_series_csv,
 )
 
@@ -107,35 +106,3 @@ class TestLogGrowth:
         recs = records(("2000-01-01", 1.0), ("2000-02-01", 2.0))
         with pytest.raises(DataError):
             log_growth(recs, "weekly")
-
-
-class TestRealReturn:
-    def test_constant_deflator_equals_nominal_growth(self):
-        nominal = records(("2000-01-01", 100.0), ("2001-01-01", 110.0),
-                          ("2002-01-01", 105.0))
-        deflator = records(("2000-01-01", 1.0), ("2001-01-01", 1.0),
-                           ("2002-01-01", 1.0))
-        out = real_return(nominal, deflator, "annual")
-        assert out.log_growth == pytest.approx(log_growth(nominal, "annual").log_growth)
-
-    def test_identical_series_give_zero(self):
-        series = records(("2000-01-01", 3.0), ("2001-01-01", 4.5))
-        out = real_return(series, series, "annual")
-        assert out.log_growth == pytest.approx([0.0])
-
-    def test_misalignment_lists_dates(self):
-        nominal = records(("2000-01-01", 1.0), ("2001-01-01", 2.0))
-        deflator = records(("2000-01-01", 1.0), ("2002-01-01", 2.0))
-        with pytest.raises(DataError, match="2001-01-01"):
-            real_return(nominal, deflator, "annual")
-
-    def test_synthetic_mean_real_return(self):
-        # 118 years of 6.81% nominal growth, flat deflator: the mean annual
-        # log real return is ln(1.0681).
-        nominal = [SeriesRecord(dt.date(1900 + i, 1, 1), 1.0681 ** i)
-                   for i in range(119)]
-        deflator = [SeriesRecord(dt.date(1900 + i, 1, 1), 1.0) for i in range(119)]
-        out = real_return(nominal, deflator, "annual")
-        assert out.log_growth.size == 118
-        assert float(np.mean(out.log_growth)) == pytest.approx(math.log(1.0681),
-                                                               rel=1e-12)

@@ -8,12 +8,15 @@ import pytest
 from scipy import optimize, stats
 
 from levypremium import (
-    DataError, FeasibilityError, IgParams, NcigParams, NigParams, apply_selection_rule,
-    bootstrap_se, default_ecf_config, ecf_objective, fit_ncig_ecf, fit_nig_mle,
-    fit_normal_mle, moment_init_ncig, moment_init_nig, ncig_chf, ncig_cumulants,
-    ig_pdf, ncig_sample, nig_log_pdf, nig_moments, nig_sample, normal_log_likelihood,
+    DataError, IgParams, InvalidParameterError, NcigParams, NigParams, bootstrap_se,
+    default_ecf_config, ecf_objective, fit_ncig_ecf, fit_nig_mle, fit_normal_mle,
+    moment_init_ncig, ncig_chf, ncig_cumulants, ig_pdf, ncig_sample, nig_log_pdf,
+    nig_moments, nig_sample,
 )
 from levypremium.cli import REFERENCE_MODELS
+from levypremium.estimation import _moment_shape, _sample_stats
+
+from oracles import normal_log_likelihood
 
 REF_NORMAL = REFERENCE_MODELS["normal"]
 REF_NIG = REFERENCE_MODELS["nig"]
@@ -52,11 +55,14 @@ class TestNormalMle:
 
 
 class TestMomentInitNig:
+    # _moment_shape is fit_nig_mle's start: the sample moments projected onto
+    # the closed NIG family.
     def test_roundtrip_reference_moments(self):
         # Invert the analytic moments directly: the round trip is exact.
         m = nig_moments(REF_NIG)
-        from levypremium.estimation import _invert_nig_moments
-        back = _invert_nig_moments(m.mean, m.variance, m.skewness, m.excess_kurtosis)
+        shape = _moment_shape(m.mean, m.variance, m.skewness, m.excess_kurtosis)
+        assert shape.boundary is None
+        back = shape.params()
         assert back.mu == pytest.approx(REF_NIG.mu, rel=1e-10)
         assert back.alpha == pytest.approx(REF_NIG.alpha, rel=1e-10)
         assert back.beta == pytest.approx(REF_NIG.beta, rel=1e-10)
@@ -66,14 +72,20 @@ class TestMomentInitNig:
         rng = np.random.default_rng(8)
         half = rng.standard_t(df=6, size=20000)
         data = np.concatenate([half, -half])  # exactly symmetric
-        p = moment_init_nig(data)
+        p = _moment_shape(*_sample_stats(data)).params()
         assert p.beta == pytest.approx(0.0, abs=1e-12)
 
-    def test_infeasible_moments_raise(self):
+    def test_infeasible_moments_project_onto_edge(self):
         rng = np.random.default_rng(9)
         data = rng.uniform(size=5000)   # platykurtic: excess kurtosis ~ -1.2
-        with pytest.raises(FeasibilityError):
-            moment_init_nig(data)
+        m, v, s, k = _sample_stats(data)
+        assert k < (5.0 / 3.0) * s * s
+        shape = _moment_shape(m, v, s, k)
+        # The inverse-Gaussian edge law of the sample's mean, variance and skewness.
+        assert shape.boundary == "inverse-Gaussian edge"
+        assert min(shape.pos, shape.neg) == 0.0
+        assert (shape.mean, shape.sd) == (m, math.sqrt(v))
+        assert 3.0 * (shape.pos - shape.neg) == pytest.approx(s, rel=1e-12)
 
 
 class TestFitNigMle:
@@ -274,14 +286,6 @@ class TestFitNcigEcf:
         again = fit_ncig_ecf(data, n_starts=4)
         assert fit == again
 
-    def test_selection_rule_flags_below_baseline(self):
-        data = ncig_sample(REF_NCIG, 20_000, seed=22)
-        fit = fit_ncig_ecf(data, n_starts=2)
-        flagged = apply_selection_rule([fit], nig_log_likelihood=fit.log_likelihood + 10.0)
-        assert "likelihood below NIG baseline" in flagged.flags
-        clean = apply_selection_rule([fit], nig_log_likelihood=fit.log_likelihood - 10.0)
-        assert "likelihood below NIG baseline" not in clean.flags
-
     def test_small_sample_rejected(self):
         with pytest.raises(DataError):
             fit_ncig_ecf(np.arange(10.0))
@@ -295,6 +299,13 @@ class TestBootstrapSe:
                            n_resamples=200, seed=1)
         assert ses["mu"] == pytest.approx(2.0 / math.sqrt(4000), rel=0.2)
         assert ses["sigma"] == pytest.approx(2.0 / math.sqrt(2 * 4000), rel=0.25)
+
+    @pytest.mark.parametrize("n_resamples", [0, 1])
+    def test_fewer_than_two_resamples_rejected(self, n_resamples):
+        # A standard deviation with ddof=1 needs two resamples.
+        with pytest.raises(InvalidParameterError, match="n_resamples"):
+            bootstrap_se(np.arange(10.0), lambda d: fit_normal_mle(d).params,
+                         n_resamples=n_resamples)
 
 
 class TestFitNigMleSearch:

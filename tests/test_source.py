@@ -45,6 +45,26 @@ def test_raises_are_package_errors():
     assert found == []
 
 
+def _imports_scipy_integrate(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[:2] == ["scipy", "integrate"] for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[:2] == ["scipy", "integrate"] or (
+            node.module == "scipy" and any(alias.name == "integrate" for alias in node.names))
+    return False
+
+
+def test_no_module_imports_scipy_integrate():
+    # The package integrates nothing numerically; quadrature belongs to the
+    # test oracles.  Both `import scipy.integrate` and
+    # `from scipy import integrate`, at any depth, count.
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _imports_scipy_integrate(node)]
+    assert found == []
+
+
 def test_public_surface_is_declared_in_module_all():
     # The modules' __all__ lists are the one declaration of the public surface:
     # each name there is exported by the package, and each exported name other
@@ -62,9 +82,9 @@ def test_public_surface_is_declared_in_module_all():
 
 
 # scipy.stats is over a third of the CLI's import time and the package needs
-# none of it (the chi-square tail is scipy.special.chdtrc); scipy.optimize and
-# scipy.integrate, a third of the rest, are loaded only by the functions that
-# fit or integrate numerically.
+# none of it (the chi-square tail is scipy.special.chdtrc); scipy.optimize, a
+# third of the rest, is loaded only by the functions that fit, and
+# scipy.integrate never.
 UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate")
 
 

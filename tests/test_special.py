@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from levypremium import (DomainError, bessel_k0e, bessel_k1, bessel_k1e, log_bessel_k1,
-                         std_normal_cdf)
+from levypremium import DomainError, bessel_k0e, bessel_k1, bessel_k1e, std_normal_cdf
 
-from oracles import bessel_kn_quadrature, log_bessel_k1_quadrature, std_normal_cdf_series
+from oracles import bessel_kn_quadrature, std_normal_cdf_series
 
 ORACLE_CSV = Path(__file__).parent / "data" / "bessel_k1_oracle.csv"
 
@@ -74,31 +73,6 @@ class TestBesselK1:
     def test_domain_errors(self, bad):
         with pytest.raises(DomainError):
             bessel_k1(bad)
-
-
-class TestLogBesselK1:
-    def test_matches_log_of_linear_value(self):
-        x = np.logspace(-1, np.log10(500.0), 300)
-        rel = np.abs(np.exp(log_bessel_k1(x)) - bessel_k1(x)) / bessel_k1(x)
-        assert rel.max() < 1e-9
-
-    def test_value_at_one(self):
-        assert log_bessel_k1(1.0) == pytest.approx(math.log(0.6019072301972346),
-                                                   rel=1e-12)
-
-    def test_large_argument_asymptotic_oracle(self):
-        # -x + 0.5 ln(pi/(2x)) + ln(1 + 3/(8x) + ...) via scaled quadrature.
-        for x in (1000.0, 1e5, 1e6):
-            truth = log_bessel_k1_quadrature(x)
-            assert log_bessel_k1(x) == pytest.approx(truth, rel=1e-9)
-
-    def test_no_underflow_up_to_1e6(self):
-        vals = log_bessel_k1(np.array([1e3, 1e4, 1e5, 1e6]))
-        assert np.all(np.isfinite(vals))
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            log_bessel_k1(-2.0)
 
 
 class TestStdNormalCdf:
