@@ -124,6 +124,9 @@ def _load_growth(args) -> GrowthSeries:
         return GrowthSeries(log_growth=arr, period=args.period)
     if args.schema is None:
         raise CliConfigError("--schema is required for dated CSV input")
+    if args.resample and args.period == "annual":
+        raise CliConfigError("--resample fills monthly gaps and cannot be combined "
+                             "with --period annual")
     records = load_csv(args.input, args.schema)
     if args.resample:
         records = resample_monthly_locf(records)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DataError, InvalidParameterError, LevyPremiumError
 from .inversion import default_grid, invert_chf, log_likelihood_from_grid
 from .models import (NcigParams, NigParams, NigShape, NormalParams, double_ig_cumulants,
-                     ncig_chf, ncig_cumulants, ncig_moments, nig_log_pdf, nig_shape_log_pdf,
+                     ncig_chf, ncig_cumulants, ncig_moments, nig_shape_log_pdf,
                      _nig_shape_log_lik_score)
 
 __all__ = [
@@ -33,13 +33,11 @@ __all__ = [
 
 _MAX_ITERATIONS = 5000
 _XATOL = 1e-8
-_FATOL = 1e-9
 _FTOL = 1e-15           # NIG MLE: relative gain per step
 _GTOL = 1e-9            # NIG MLE: projected gradient
 _GRAD_FLOOR = 1e-5      # NIG MLE: relative projected gradient of a failed line search
 _EDGE_START = 1e-2      # an edge start's zero skew coordinate, relative to the other
 _CORNER_START = 1e-2    # NIG moment starts with pos + neg below this start at the normal law
-_SNAP = 1e-6            # NIG skew coordinates this small are tried at 0
 _BOUNDARY_NATS = 1e-7   # NIG parameters stand in for a boundary law to this
 _ECF_JITTER_SEED = 60481
 _ECF_NODES = 20         # ECF frequency nodes on each side of 0
@@ -120,36 +118,22 @@ def _moment_shape(m: float, v: float, s: float, k: float) -> NigShape:
                     neg=0.5 * (spread - skew))
 
 
-def _snap_to_boundary(theta: np.ndarray, f: float, neg_loglik) -> tuple[np.ndarray, float]:
-    """Move skew coordinates within _SNAP of 0 onto the boundary (the normal
-    corner first, then either edge) where that costs at most _FATOL nats over
-    ``theta``'s value ``f``; the point kept and its value."""
-    for zeros in ([2, 3], [2], [3]):
-        if np.all(theta[zeros] <= _SNAP):
-            cand = theta.copy()
-            cand[zeros] = 0.0
-            f_cand = neg_loglik(cand)
-            if f_cand <= f + _FATOL:
-                return cand, f_cand
-    return theta, f
-
-
-def _finite_nig(shape: NigShape, target: float, loglik) -> tuple[NigParams, float]:
-    """NIG parameters of ``shape`` and their log-likelihood.  For a boundary
-    law, its zero skew coordinates are set to 1e-2, 1e-3, ... times the other's
-    (times 1 at the normal corner), and the first, least extreme, parameters
-    whose log-likelihood is within _BOUNDARY_NATS of ``target`` are returned."""
+def _finite_nig(shape: NigShape, f: float, neg_loglik) -> tuple[NigShape, float]:
+    """An interior stand-in for ``shape`` and its negative log-likelihood,
+    given ``shape``'s value ``f``.  A boundary law's zero skew coordinates are
+    set to 1e-2, 1e-3, ... times the other's (times 1 at the normal corner),
+    and the first, least extreme, point within _BOUNDARY_NATS of ``f`` is
+    returned; NIG parameters cannot hold the boundary law itself."""
     if shape.boundary is None:
-        params = shape.params()
-        return params, loglik(params)
+        return shape, f
     best = None
     for k in range(2, 13):
         eps = 10.0 ** -k * ((shape.pos + shape.neg) or 1.0)
-        params = dataclasses.replace(shape, pos=shape.pos or eps, neg=shape.neg or eps).params()
-        ll = loglik(params)
-        if best is None or ll > best[1]:
-            best = (params, ll)
-        if ll >= target - _BOUNDARY_NATS:
+        cand = dataclasses.replace(shape, pos=shape.pos or eps, neg=shape.neg or eps)
+        f_cand = neg_loglik(cand)
+        if best is None or f_cand < best[1]:
+            best = (cand, f_cand)
+        if f_cand <= f + _BOUNDARY_NATS:
             break
     return best
 
@@ -183,8 +167,11 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     boundary converges there with the flag ``"normal limit"`` or
     ``"inverse-Gaussian edge"``.  Such a fit returns finite NIG parameters
     next to the boundary law, within 1e-7 nats of its log-likelihood.  The
-    fit never falls below ``init``.  ``iterations`` counts L-BFGS-B
-    iterations, ``nfev`` its evaluations of the log-likelihood and score.
+    log-likelihood reported is the search's own, at its end point or at
+    that stand-in, plus the Jacobian -n ln(s) of the standardization by the
+    sample standard deviation s.  The fit never falls below ``init``.
+    ``iterations`` counts L-BFGS-B iterations, ``nfev`` its evaluations of
+    the log-likelihood and score.
     """
     from scipy import optimize
     arr = np.asarray(data, dtype=float)
@@ -198,9 +185,9 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
         return NigShape(mean=float(theta[0]), sd=math.exp(min(max(float(theta[1]), -40.0), 40.0)),
                         pos=float(theta[2]), neg=float(theta[3]))
 
-    def neg_loglik(theta) -> float:
+    def neg_loglik(shape: NigShape) -> float:
         try:
-            val = -float(np.sum(nig_shape_log_pdf(shape_of(theta), z)))
+            val = -float(np.sum(nig_shape_log_pdf(shape, z)))
         except (InvalidParameterError, FloatingPointError):
             return np.inf
         return val if np.isfinite(val) else np.inf
@@ -209,18 +196,19 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
         # An edge start can put data outside its support; the normal law
         # cannot, and stands in for starts within _CORNER_START of it, where
         # the interior score is formed by cancellation.
-        theta0 = np.array([0.0, 0.0, 0.0, 0.0])
         start = _moment_shape(0.0, 1.0, skew, kurt)
-        if (start.pos + start.neg >= _CORNER_START
-                and np.isfinite(neg_loglik([0.0, 0.0, start.pos, start.neg]))):
-            theta0[2:] = start.pos or _EDGE_START * start.neg, start.neg or _EDGE_START * start.pos
+        f0 = neg_loglik(start) if start.pos + start.neg >= _CORNER_START else np.inf
+        theta0 = np.array([0.0, 0.0, start.pos or _EDGE_START * start.neg,
+                           start.neg or _EDGE_START * start.pos] if np.isfinite(f0) else [0.0] * 4)
     else:
         given = NigShape.from_params(init)
         theta0 = np.array([(given.mean - m) / scale, math.log(given.sd / scale),
                            given.pos, given.neg])
+        start = None
+    if shape_of(theta0) != start:   # an interior moment start is summed once
+        f0 = neg_loglik(shape_of(theta0))
     # A trial outside an edge law's support gets a finite wall value above
     # the start, so the line search backs off instead of failing.
-    f0 = neg_loglik(theta0)
     wall = f0 + arr.size
 
     def objective(theta):
@@ -241,31 +229,21 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     if result.status == 2 and _at_precision_floor(result):
         converged, message = True, "LINE SEARCH FAILED AT THE PRECISION FLOOR"
     # The search's value at result.x is neg_loglik's, unless it is the wall.
-    f = neg_loglik(result.x) if result.fun == wall else float(result.fun)
-    theta, f = _snap_to_boundary(result.x, f, neg_loglik)
-
-    def loglik(p: NigParams) -> float:
-        return float(np.sum(nig_log_pdf(p, arr)))
-
-    def data_shape(theta) -> NigShape:
-        shape = shape_of(theta)
-        return dataclasses.replace(shape, mean=m + scale * shape.mean, sd=scale * shape.sd)
+    f = neg_loglik(shape_of(result.x)) if result.fun == wall else float(result.fun)
+    jacobian = arr.size * math.log(scale)   # of the standardization
 
     def finite_nig(theta, f) -> tuple[NigParams, float]:
-        # In data units the log-likelihood gains the Jacobian of the
-        # standardization.
-        return _finite_nig(data_shape(theta), -f - arr.size * math.log(scale), loglik)
+        shape, f = _finite_nig(shape_of(theta), f, neg_loglik)
+        shape = dataclasses.replace(shape, mean=m + scale * shape.mean, sd=scale * shape.sd)
+        return shape.params(), -f - jacobian
 
-    params, ll = finite_nig(theta, f)
-    boundary = shape_of(theta).boundary
+    params, ll = finite_nig(result.x, f)
+    boundary = shape_of(result.x).boundary
     flags = (() if converged else ("optimizer stalled",)) + ((boundary,) if boundary else ())
     if init is None:
-        start = data_shape(theta0)   # an interior start needs no log-likelihood
-        init = start.params() if start.boundary is None else finite_nig(theta0, f0)[0]
-    else:
-        init_ll = loglik(init)
-        if init_ll > ll:
-            params, ll = init, init_ll
+        init = finite_nig(theta0, f0)[0]
+    elif -f0 - jacobian > ll:
+        params, ll = init, -f0 - jacobian
     return FitResult(params=params, objective=ll, objective_kind="log_likelihood",
                      converged=converged, iterations=int(result.nit),
                      nfev=int(result.nfev), message=message,
@@ -426,6 +404,8 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
     go to the first start.
     """
     from scipy import optimize
+    if n_starts < 1:
+        raise InvalidParameterError("fit_ncig_ecf needs n_starts >= 1")
     arr = np.asarray(data, dtype=float)
     if arr.size < 16:
         raise DataError("NCIG ECF fit requires at least 16 observations")
@@ -454,7 +434,7 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
     rng = np.random.default_rng(_ECF_JITTER_SEED)
     theta0 = _ncig_to_theta(init_scaled)
     thetas = [theta0]
-    for _ in range(max(0, n_starts - 1)):
+    for _ in range(n_starts - 1):
         jitter = rng.normal(size=4) * np.array([0.7, 0.5, 0.5, 0.5])
         thetas.append(theta0 + jitter)
 

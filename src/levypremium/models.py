@@ -37,9 +37,6 @@ __all__ = [
 ]
 
 
-_EDGE_STEP = 1e-3   # one-sided difference step off an edge, relative to the other coordinate
-
-
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise InvalidParameterError(msg)
@@ -305,10 +302,12 @@ def _nig_shape_log_lik_score(s: NigShape, x: np.ndarray) -> tuple[float, np.ndar
     ``NigShape.params``, with 1 - R from ``_k0_k1_gap``.  On the boundary the
     derivatives along mean, ln sd and a nonzero skew coordinate are the
     boundary law's.  A zero skew coordinate gets its one-sided derivative
-    into the triangle: at the normal corner the boundary law's
-    +-(1/2) sum H3(u), u = (x - mean)/sd, in closed form; on an edge a
-    Richardson-extrapolated forward difference.  Where x leaves an edge
-    law's support the sum is -inf and the gradient 0.
+    into the triangle, the first-order term of the interior log-density in
+    it, from K1's large-argument expansion (DLMF 10.40.2).  On an edge, with
+    c the nonzero coordinate, u = (x - mean)/sd, v = u on neg = 0 and -u on
+    pos = 0, and t = 1 + c v, it is sum(-1.5 v (t - 2)/t^2 + 1.5 c/t - 0.5 (v/t)^3);
+    at the normal corner (c = 0) this is +-(1/2) sum H3(u).  Where x leaves
+    an edge law's support the sum is -inf and the gradient 0.
     """
     d = x - s.mean
     a, b, sd = s.pos, s.neg, s.sd
@@ -322,12 +321,10 @@ def _nig_shape_log_lik_score(s: NigShape, x: np.ndarray) -> tuple[float, np.ndar
         dk = float(np.sum(u * (u * u / (2.0 * t) - 1.5) / t))
         grad = np.array([float(np.sum(dmean)), float(np.sum(d * dmean)) - x.size, dk, -dk])
         if max(a, b) > 1e-100:
-            # D(h) = (f(h) - f(0))/h is f'(0) + O(h); 2 D(h/2) - D(h) is O(h^2).
-            zero = 3 if a > b else 2
-            h = _EDGE_STEP * max(a, b)
-            step = [np.sum(nig_shape_log_pdf(NigShape(s.mean, sd, *(
-                (a, hh) if zero == 3 else (hh, b))), x)) - total for hh in (h, 0.5 * h)]
-            grad[zero] = (4.0 * step[1] - step[0]) / h
+            # t = 1 + c v with c the nonzero coordinate and v = +-u.
+            zero, c, v = (3, a - b, u) if a > b else (2, b - a, -u)
+            grad[zero] = float(np.sum(-1.5 * v * (t - 2.0) / (t * t) + 1.5 * c / t
+                                      - 0.5 * (v / t) ** 3))
         return total, grad
     out, p, r, q, k1e = _interior_log_pdf(s, d)
     up, down = 0.5 / (sd * a), 0.5 / (sd * b)          # alpha - beta, alpha + beta

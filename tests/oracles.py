@@ -67,6 +67,35 @@ def nig_log_pdf_mp(mu: float, alpha: float, beta: float, delta: float,
                      + mp.log(mp.besselk(1, a * q)))
 
 
+def nig_edge_derivative_mp(x: np.ndarray, mean: float, sd: float, pos: float, neg: float,
+                           dps: int = 50) -> float:
+    """One-sided derivative of the summed NIG log-likelihood at the
+    inverse-Gaussian edge point (mean, sd, pos, neg) of ``NigShape`` (one of
+    pos, neg is 0), along its zero skew coordinate into the shape triangle:
+    ``mp.diff`` of the interior log-likelihood at that coordinate 7e-7 c and
+    7e-8 c, c the nonzero one, extrapolated linearly to 0."""
+    with mp.workdps(dps):
+        xs = [mp.mpf(float(v)) for v in x]
+        m, s, c = mp.mpf(mean), mp.mpf(sd), mp.mpf(pos or neg)
+
+        def loglik(h):
+            a, b = (c, h) if pos else (h, c)
+            alpha, beta = (a + b) / (4 * s * a * b), (a - b) / (4 * s * a * b)
+            delta = 2 * s * mp.sqrt(a * b) / (a + b) ** 2
+            mu = m - s * (a - b) / (a + b) ** 2
+            g = mp.sqrt((alpha - beta) * (alpha + beta))
+            total = mp.mpf(0)
+            for xv in xs:
+                q = mp.sqrt(delta ** 2 + (xv - mu) ** 2)
+                total += (mp.log(alpha * delta / mp.pi) + delta * g + beta * (xv - mu)
+                          - mp.log(q) + mp.log(mp.besselk(1, alpha * q)))
+            return total
+
+        h1, h2 = 7e-7 * c, 7e-8 * c
+        d1, d2 = mp.diff(loglik, h1), mp.diff(loglik, h2)
+        return float(d2 - (d1 - d2) * h2 / (h1 - h2))
+
+
 def nig_chf_mp(mu: float, alpha: float, beta: float, delta: float,
                t: float, dps: int = 50) -> complex:
     """NIG characteristic function in mpmath arithmetic at the given float

@@ -140,6 +140,19 @@ class TestFit:
         fit = read_json(tmp_path / "fit_normal.json")
         assert abs(fit["params"]["mu"] - 0.001) < 0.002
 
+    def test_resample_with_annual_period_is_config_error(self, tmp_path, capsys):
+        # --resample fills monthly gaps, which annual levels always have.
+        csv = tmp_path / "annual.csv"
+        csv.write_text("date,price\n" + "".join(
+            f"{1990 + i}-01-01,{100.0 * 1.05 ** i}\n" for i in range(10)))
+        argv = ["fit", "--model", "normal", "--input", str(csv), "--schema",
+                "date=date,value=price", "--input-kind", "levels", "--period", "annual",
+                "--out", str(tmp_path)]
+        assert run(*argv, "--resample") == EXIT_CONFIG
+        assert "--resample" in capsys.readouterr().err
+        assert not (tmp_path / "fit_normal.json").exists()
+        assert run(*argv) == EXIT_OK
+
     def test_config_file_with_flag_override(self, tmp_path):
         data_csv = tmp_path / "data.csv"
         run("simulate", "--reference", "normal", "--n", "2000", "--seed", "1",

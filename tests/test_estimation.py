@@ -14,6 +14,7 @@ from levypremium import (
     nig_moments, nig_sample,
 )
 from levypremium.cli import REFERENCE_MODELS
+from levypremium import estimation
 from levypremium.estimation import _moment_shape, _sample_stats
 
 from oracles import normal_log_likelihood
@@ -286,6 +287,11 @@ class TestFitNcigEcf:
         again = fit_ncig_ecf(data, n_starts=4)
         assert fit == again
 
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_fewer_than_one_start_rejected(self, n_starts):
+        with pytest.raises(InvalidParameterError, match="n_starts"):
+            fit_ncig_ecf(ncig_sample(REF_NCIG, 200, seed=4), n_starts=n_starts)
+
     def test_small_sample_rejected(self):
         with pytest.raises(DataError):
             fit_ncig_ecf(np.arange(10.0))
@@ -347,3 +353,32 @@ class TestFitNigMleSearch:
         fit = fit_nig_mle(data)
         assert fit.converged and "inverse-Gaussian edge" in fit.flags
         assert abs(fit.objective - ig_edge_supremum(data)) <= 1e-6
+
+    @pytest.mark.parametrize("seed", [111, 141])
+    def test_line_search_failure_at_the_precision_floor_converges(self, seed, monkeypatch):
+        data = np.random.default_rng(seed).standard_t(4, size=2000)
+        fit = fit_nig_mle(data)
+        assert fit.converged and fit.flags == ()
+        assert fit.message == "LINE SEARCH FAILED AT THE PRECISION FLOOR"
+        monkeypatch.setattr(estimation, "_at_precision_floor", lambda result: False)
+        assert fit_nig_mle(data).flags == ("optimizer stalled",)
+
+    def test_edge_fit_converges_in_few_evaluations(self):
+        # The edge's one-sided score is exact, so the search stops by its
+        # relative-gain test instead of at the precision floor.
+        fit = fit_nig_mle(np.random.default_rng(92).gamma(2.0, size=2000))
+        assert fit.converged and "inverse-Gaussian edge" in fit.flags
+        assert fit.nfev <= 20
+
+    def test_interior_moment_start_sums_the_likelihood_once(self, monkeypatch):
+        # Outside the search, only the start is summed: the reported
+        # log-likelihood is the search's own value.
+        calls = []
+        shape_log_pdf = estimation.nig_shape_log_pdf
+        monkeypatch.setattr(estimation, "nig_shape_log_pdf",
+                            lambda s, x: calls.append(s) or shape_log_pdf(s, x))
+        data = nig_sample(REF_NIG, 5000, seed=7)
+        fit = fit_nig_mle(data)
+        assert fit.flags == () and len(calls) == 1
+        assert fit.objective == pytest.approx(float(np.sum(nig_log_pdf(fit.params, data))),
+                                              abs=1e-9)

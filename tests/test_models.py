@@ -18,7 +18,8 @@ from levypremium import (
 from levypremium.cli import REFERENCE_MODELS
 from levypremium.models import _k0_k1_gap, _nig_shape_log_lik_score
 
-from oracles import double_ig_pdf, mc_mean_se, nig_chf_mp, nig_log_pdf_mp, quadrature_cdf
+from oracles import (double_ig_pdf, mc_mean_se, nig_chf_mp, nig_edge_derivative_mp,
+                     nig_log_pdf_mp, quadrature_cdf)
 
 REF_NIG = REFERENCE_MODELS["nig"]
 REF_NCIG = REFERENCE_MODELS["ncig"]
@@ -549,6 +550,18 @@ class TestNigShapeScore:
         theta = [0.01, 0.01, 0.1, 0.1]
         theta[zero] = 0.0
         self.check(theta, x, one_sided=(zero,))
+
+    @pytest.mark.parametrize("zero", [2, 3])
+    def test_edge_derivative_matches_oracle(self, zero):
+        # The zero coordinate's one-sided derivative on an edge is closed
+        # form; the oracle differentiates the interior NIG law in mpmath.
+        x = np.random.default_rng(3).normal(0.1, 1.3, size=20)
+        shape = NigShape(0.1, 1.3, 0.07, 0.0)
+        if zero == 2:                              # the mirrored sample and edge
+            x, shape = -x, NigShape(-0.1, 1.3, 0.0, 0.07)
+        score = _nig_shape_log_lik_score(shape, x)[1]
+        truth = nig_edge_derivative_mp(x, shape.mean, shape.sd, shape.pos, shape.neg)
+        assert score[zero] == pytest.approx(truth, rel=1e-9)
 
     def test_normal_corner(self):
         x = self.standardized(np.random.default_rng(34).normal(size=2000))
