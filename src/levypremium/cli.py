@@ -108,6 +108,10 @@ def _read_json(path: str, what: str):
 
 def _load_growth(args) -> GrowthSeries:
     if args.input_kind == "values":
+        for flag, given in (("--schema", args.schema is not None), ("--resample", args.resample)):
+            if given:
+                raise CliConfigError(f"{flag} acts on dated input and cannot be combined "
+                                     "with --input-kind values")
         try:
             with warnings.catch_warnings():   # no rows: a DataError downstream says so
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
@@ -209,8 +213,8 @@ def cmd_validate(args) -> int:
     _write_json(out / f"gof_{tag}.json", {
         "model": tag,
         "tests": [dataclasses.asdict(r) for r in reports],
-        "note": ("p-values are computed with parameters estimated from the same "
-                 "data and are conservative (no composite-hypothesis correction)"),
+        "note": ("p-values assume the parameters were not fitted to these data and "
+                 "are conservative when they were (no composite-hypothesis correction)"),
     })
     for rep in reports:
         print(f"{rep.method}: statistic={rep.statistic:.6f} p={rep.p_value:.4f}")

@@ -33,14 +33,13 @@ __all__ = [
 
 _MAX_ITERATIONS = 5000
 _XATOL = 1e-8
-_FTOL = 1e-15           # NIG MLE: relative gain per step
-_GTOL = 1e-9            # NIG MLE: projected gradient
-_GRAD_FLOOR = 1e-5      # NIG MLE: relative projected gradient of a failed line search
+_GTOL = 1e-7            # NIG MLE: projected gradient of the log-likelihood per observation
 _EDGE_START = 1e-2      # an edge start's zero skew coordinate, relative to the other
 _CORNER_START = 1e-2    # NIG moment starts with pos + neg below this start at the normal law
 _BOUNDARY_NATS = 1e-7   # NIG parameters stand in for a boundary law to this
 _ECF_JITTER_SEED = 60481
 _ECF_NODES = 20         # ECF frequency nodes on each side of 0
+_ECF_BLOCK = 20000      # observations per block of the ECF sum
 ModelParams = Union[NormalParams, NigParams, NcigParams]
 
 
@@ -138,17 +137,6 @@ def _finite_nig(shape: NigShape, f: float, neg_loglik) -> tuple[NigShape, float]
     return best
 
 
-def _at_precision_floor(result) -> bool:
-    """Whether an L-BFGS-B search whose line search failed stopped where its
-    projected gradient, relative to the objective (Dennis & Schnabel 1983,
-    7.2), is below _GRAD_FLOOR: no step can then lower the objective by more
-    than its rounding, and the point counts as converged."""
-    grad = result.jac.copy()
-    grad[2:][(result.x[2:] <= 0.0) & (grad[2:] > 0.0)] = 0.0
-    scaled = np.abs(grad) * np.maximum(np.abs(result.x), 1.0)
-    return bool(np.max(scaled) <= _GRAD_FLOOR * max(abs(result.fun), 1.0))
-
-
 def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     """NIG MLE by L-BFGS-B over the closed NIG family, with the exact score.
 
@@ -158,9 +146,10 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     moved inside, its zero skew coordinate set to 1e-2 of the other, and a
     start with pos + neg below 1e-2 starts at the normal law.  It is
     given the log-likelihood with its closed-form score, one-sided on the
-    boundary, and converges when a step gains less than 1e-15 relative, when
-    the projected gradient falls below 1e-9, or when a line search fails at
-    the precision floor (``_at_precision_floor``).  The boundary of the shape
+    boundary, and converges when the projected gradient of the
+    log-likelihood per observation falls below _GTOL = 1e-7: at a mean
+    gradient g the fit lies about n g^2 / 2 nats below its supremum (5e-10
+    nats at n = 1e5).  No relative-gain test runs.  The boundary of the shape
     triangle - the normal law and the inverse-Gaussian edges - lies at
     finite points of that search space and is evaluated exactly, so the fit
     nests the normal fit, and a likelihood whose supremum lies on the
@@ -224,10 +213,8 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
         objective, theta0, jac=True, method="L-BFGS-B",
         bounds=[(None, None), (None, None), (0.0, None), (0.0, None)],
         options={"maxiter": _MAX_ITERATIONS, "maxfun": 4 * _MAX_ITERATIONS,
-                 "ftol": _FTOL, "gtol": _GTOL})
+                 "ftol": 0.0, "gtol": _GTOL * arr.size})
     converged, message = bool(result.success), str(result.message)
-    if result.status == 2 and _at_precision_floor(result):
-        converged, message = True, "LINE SEARCH FAILED AT THE PRECISION FLOOR"
     # The search's value at result.x is neg_loglik's, unless it is the wall.
     f = neg_loglik(shape_of(result.x)) if result.fun == wall else float(result.fun)
     jacobian = arr.size * math.log(scale)   # of the standardization
@@ -254,12 +241,12 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
 # ECF machinery
 # ---------------------------------------------------------------------------
 
-def _ecf_values(data: np.ndarray, u: np.ndarray, block: int = 20000) -> np.ndarray:
+def _ecf_values(data: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Empirical characteristic function (1/n) sum_k exp(i u x_k), blocked."""
     total = np.zeros(u.size, dtype=complex)
     n = data.size
-    for start in range(0, n, block):
-        chunk = data[start:start + block]
+    for start in range(0, n, _ECF_BLOCK):
+        chunk = data[start:start + _ECF_BLOCK]
         total += np.exp(1j * np.outer(u, chunk)).sum(axis=1)
     return total / n
 

@@ -9,9 +9,9 @@ the p-values come from the limit laws of the Brownian bridge B: sup|B| for KS
 1983; its series terms in closed form, DLMF 13.3.27). Neyman's statistic is
 referred to its chi-square limit. Each report names the source of its null.
 
-Note on composite hypotheses: when the tested CDF carries parameters estimated
-from the same data, these p-values are conservative (uncorrected); they are
-reported as-is.
+Note on composite hypotheses: the nulls assume the tested CDF's parameters
+were not fitted to the tested data; when they were, these p-values are
+conservative (uncorrected) and are reported as-is.
 """
 
 from __future__ import annotations

@@ -211,6 +211,28 @@ class TestValuesInput:
         assert run("fit", "--model", "normal", "--input", str(data_csv),
                    "--out", str(tmp_path)) == EXIT_IO
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("flag, value", [("--schema", "date=date,value=value"),
+                                             ("--resample", True)])
+    @pytest.mark.parametrize("command", ["fit", "validate"])
+    def test_dated_input_flag_is_a_config_error(self, command, flag, value, via_config,
+                                                tmp_path, capsys):
+        # Undated values have no dates to read by a schema or to resample.
+        data_csv = tmp_path / "data.csv"
+        data_csv.write_text("value\n0.01\n-0.03\n0.05\n0.07\n")
+        argv = [command, "--input", str(data_csv), "--out", str(tmp_path / "out"),
+                *{"fit": ["--model", "normal"],
+                  "validate": ["--fit", str(write_normal_fit(tmp_path / "fit.json"))]}[command]]
+        if via_config:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({flag[2:]: value}))
+            argv += ["--config", str(config)]
+        else:
+            argv += flag_argv({flag: value})
+        assert run(*argv) == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 def run_process(*argv):
     """Exit code of the CLI in a fresh process; a hang fails the test after 60 s."""

@@ -45,6 +45,35 @@ def test_raises_are_package_errors():
     assert found == []
 
 
+def _module_private_names(tree) -> list[tuple[str, int]]:
+    """The private functions, classes and constants a module defines at its
+    top level, with their lines; dunder names such as __all__ are not private."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(name.id, node.lineno) for target in targets
+                      for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [(name, line) for name, line in found
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def test_private_names_are_read():
+    # A private name that no module of the package reads, by name or as an
+    # attribute, is dead code: a tolerance or helper left behind by a change.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    found = [f"{filename}:{line} {name}" for filename, tree in trees.items()
+             for name, line in _module_private_names(tree) if name not in read]
+    assert found == []
+
+
 def _imports_scipy_integrate(node) -> bool:
     if isinstance(node, ast.Import):
         return any(alias.name.split(".")[:2] == ["scipy", "integrate"] for alias in node.names)
