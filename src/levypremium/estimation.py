@@ -227,8 +227,8 @@ def fit_nig_mle(data, init: Optional[NigParams] = None) -> FitResult:
     params, ll = finite_nig(result.x, f)
     boundary = shape_of(result.x).boundary
     flags = (() if converged else ("optimizer stalled",)) + ((boundary,) if boundary else ())
-    if init is None:
-        init = finite_nig(theta0, f0)[0]
+    if init is None:   # a search that ends at its start has its stand-in
+        init = params if np.array_equal(result.x, theta0) else finite_nig(theta0, f0)[0]
     elif -f0 - jacobian > ll:
         params, ll = init, -f0 - jacobian
     return FitResult(params=params, objective=ll, objective_kind="log_likelihood",

@@ -1,13 +1,14 @@
 """Goodness-of-fit machinery: probability integral transform, uniformity
 tests (Kolmogorov-Smirnov, Neyman smooth, Frosini), and Q-Q / P-P plot data.
 
-Monte-Carlo null distributions (KS for n <= 100, Frosini for n <= 200) use
-1e5 uniform replicates under a fixed master seed and are cached per sample
-size, so repeated calls at the same n reuse the null sample. Above those sizes
-the p-values come from the limit laws of the Brownian bridge B: sup|B| for KS
-(Kolmogorov) and int_0^1 |B(t)| dt for Frosini (Shepp 1982; Johnson & Killeen
-1983; its series terms in closed form, DLMF 13.3.27). Neyman's statistic is
-referred to its chi-square limit. Each report names the source of its null.
+For n <= 100 the KS p-value comes from the exact law of D_n (Marsaglia, Tsang
+& Wang 2003). The Frosini null for n <= 200 is Monte-Carlo: 1e5 uniform
+replicates under a fixed master seed, cached per sample size, so repeated
+calls at the same n reuse the null sample. Above those sizes the p-values come
+from the limit laws of the Brownian bridge B: sup|B| for KS (Kolmogorov) and
+int_0^1 |B(t)| dt for Frosini (Shepp 1982; Johnson & Killeen 1983; its series
+terms in closed form, DLMF 13.3.27). Neyman's statistic is referred to its
+chi-square limit. Each report names the source of its null.
 
 Note on composite hypotheses: the nulls assume the tested CDF's parameters
 were not fitted to the tested data; when they were, these p-values are
@@ -16,10 +17,11 @@ conservative (uncorrected) and are reported as-is.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, InvalidParameterError
 
@@ -31,7 +33,7 @@ __all__ = [
 _MC_REPLICATES = 100_000
 _MC_MASTER_SEED = 741852963
 _MC_BLOCK_VALUES = 1_000_000
-_KS_MC_MAX_N = 100
+_KS_EXACT_MAX_N = 100
 _FROSINI_MC_MAX_N = 200
 _null_cache: dict = {}
 
@@ -54,8 +56,8 @@ class PitSample:
 @dataclass(frozen=True)
 class TestReport:
     """Statistic, p-value, and method tag of one uniformity test; ``null``
-    names where the null distribution came from: "monte-carlo", "asymptotic"
-    or "chi-square"."""
+    names where the null distribution came from: "exact", "monte-carlo",
+    "asymptotic" or "chi-square"."""
 
     statistic: float
     p_value: float
@@ -93,7 +95,44 @@ def _frosini_rows(u: np.ndarray) -> np.ndarray:
 
 
 # Null statistic per kind, with its seed stream under the master seed.
-_MC_STATISTICS = {"ks": (1, _ks_rows), "frosini": (2, _frosini_rows)}
+_MC_STATISTICS = {"frosini": (2, _frosini_rows)}
+
+
+def _matrix_power(a: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """a^n as a matrix scaled to entries below 1 in magnitude and its binary
+    exponent: a^n = out * 2^exp, so no power overflows."""
+    if n == 1:
+        return a, 0
+    half, exp = _matrix_power(a, n // 2)
+    out = half @ half
+    if n % 2:
+        out = out @ a
+    shift = int(np.frexp(np.max(np.abs(out)))[1])
+    return np.ldexp(out, -shift), 2 * exp + shift
+
+
+def _ks_exact_sf(n: int, d: float) -> float:
+    """P(D_n >= d) for the KS statistic of n uniforms, from the exact law
+    P(D_n < d) = n!/n^n (H^n)_kk of Marsaglia, Tsang & Wang (2003, J. Stat.
+    Softw. 8(18)), with k = floor(n d) + 1 and H their (2k - 1)-square
+    matrix.  The factorials are exact integers, correctly rounded on division;
+    within 7.3e-15 of ``scipy.stats.kstwo.sf`` for n <= 100."""
+    if d <= 0.5 / n:                    # D_n >= 1/(2n) always
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    k = int(n * d) + 1
+    m = 2 * k - 1
+    h = k - n * d
+    lag = np.subtract.outer(np.arange(m), np.arange(m)) + 1     # i - j + 1
+    H = (lag >= 0).astype(float)
+    H[:, 0] -= h ** np.arange(1, m + 1)
+    H[-1, :] -= h ** np.arange(m, 0, -1)
+    H[-1, 0] += max(2.0 * h - 1.0, 0.0) ** m
+    H *= np.array([1 / math.factorial(g) for g in range(m + 1)])[np.maximum(lag, 0)]
+    power, exp = _matrix_power(H, n)
+    below = math.ldexp(power[k - 1, k - 1] * (math.factorial(n) / n ** n), exp)
+    return min(max(1.0 - below, 0.0), 1.0)
 
 
 # xi = int_0^1 |B(t)| dt, the limit in law of the Frosini statistic. Shepp
@@ -115,23 +154,25 @@ _L1_W_MIN = 0.05
 _L1_SF_MIN = 1e-17
 
 
-def _airy_prime_zeros(k: int) -> np.ndarray:
-    """|a'_j|, j = 1..k, polished by one Newton step (Ai'' = x Ai):
-    ``ai_zeros`` alone is off by up to 2.5e-13 relative (j = 5)."""
-    a = special.ai_zeros(k)[1]
+@functools.cache
+def _airy_prime_zeros() -> tuple[np.ndarray, np.ndarray]:
+    """|a'_j| and b_j, j = 1..32, the zeros polished by one Newton step
+    (Ai'' = x Ai): ``ai_zeros`` alone is off by up to 2.5e-13 relative
+    (j = 5).  The series needs 27 zeros at x = 4.46, where it is skipped;
+    32 reach x = 5.2."""
+    from scipy import special
+    a = special.ai_zeros(32)[1]
     ai, aip, _, _ = special.airy(a)
-    return -(a - aip / (a * ai))
-
-
-# The series needs 27 zeros at x = 4.46, where it is skipped; 32 reach x = 5.2.
-_AIRY_ABS = _airy_prime_zeros(32)
-_AIRY_B = _AIRY_ABS / np.cbrt(2.0)
+    a_abs = -(a - aip / (a * ai))
+    return a_abs, a_abs / np.cbrt(2.0)
 
 
 def _bridge_l1_cdf(x: float) -> float:
     """P(int_0^1 |B(t)| dt <= x) for the Brownian bridge B, to about 1e-15."""
-    keep = _AIRY_B ** 1.5 < x / _L1_W_MIN
-    b, a = _AIRY_B[keep], _AIRY_ABS[keep]
+    from scipy import special
+    airy_abs, airy_b = _airy_prime_zeros()
+    keep = airy_b ** 1.5 < x / _L1_W_MIN
+    b, a = airy_b[keep], airy_abs[keep]
     y = x / b ** 1.5
     z = 4.0 / (27.0 * y * y)
     inner = _L1_K * np.exp(-z) * special.hyperu(1.0 / 6.0, 1.0 / 3.0, z)
@@ -140,6 +181,7 @@ def _bridge_l1_cdf(x: float) -> float:
 
 def _bridge_l1_sf(x: float) -> float:
     """P(int_0^1 |B(t)| dt > x), capped by P(sup|B| > x), which bounds it."""
+    from scipy import special
     bound = float(special.kolmogorov(x))
     if bound < _L1_SF_MIN:
         return bound
@@ -175,17 +217,18 @@ def _mc_p_value(null_sorted: np.ndarray, observed: float) -> float:
 def ks_test_uniform(s: PitSample) -> TestReport:
     """Kolmogorov-Smirnov uniformity test: D_n = sup |F_n(u) - u|.
 
-    Asymptotic Kolmogorov p-value for n > 100; Monte-Carlo null otherwise.
+    Asymptotic Kolmogorov p-value for n > 100; the exact law of D_n otherwise.
     """
     u = np.sort(s.values)
     n = u.size
     if n < 8:
         raise DataError("KS test requires n >= 8")
     d = float(_ks_rows(u))
-    if n > _KS_MC_MAX_N:
+    if n > _KS_EXACT_MAX_N:
+        from scipy import special
         p, null = float(special.kolmogorov(np.sqrt(n) * d)), "asymptotic"
     else:
-        p, null = _mc_p_value(_mc_null("ks", n), d), "monte-carlo"
+        p, null = _ks_exact_sf(n, d), "exact"
     return TestReport(statistic=d, p_value=p, method="KS", n=n, null=null)
 
 
@@ -207,6 +250,7 @@ def neyman_smooth_test(s: PitSample, order: int = 4) -> TestReport:
         coeffs[j] = 1.0
         pi_j = np.sqrt(2.0 * j + 1.0) * np.polynomial.legendre.legval(y, coeffs)
         stat += (pi_j.sum() / np.sqrt(n)) ** 2
+    from scipy import special
     p = float(special.chdtrc(order, stat))
     return TestReport(statistic=float(stat), p_value=p, method="Neyman", n=n,
                       null="chi-square")

@@ -392,3 +392,18 @@ class TestFitNigMleSearch:
         assert fit.flags == () and len(calls) == 1
         assert fit.objective == pytest.approx(float(np.sum(nig_log_pdf(fit.params, data))),
                                               abs=1e-9)
+
+    def test_ridge_fit_walks_the_boundary_ladder_once(self, monkeypatch):
+        # Normal quantiles put the moment start on the normal corner, where
+        # the search stops at once.  Outside the search the fit sums the
+        # start and one walk of the ladder to a finite stand-in (rungs 1e-2
+        # ... 1e-5), which the reported start shares.
+        calls = []
+        shape_log_pdf = estimation.nig_shape_log_pdf
+        monkeypatch.setattr(estimation, "nig_shape_log_pdf",
+                            lambda s, x: calls.append(s) or shape_log_pdf(s, x))
+        n = 10_000
+        fit = fit_nig_mle(stats.norm.ppf((np.arange(n) + 0.5) / n))
+        assert fit.converged and "normal limit" in fit.flags and fit.nfev == 1
+        assert len(calls) <= 5
+        assert fit.init == fit.params

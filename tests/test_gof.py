@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from levypremium import gof
 from levypremium import (
@@ -74,10 +74,18 @@ class TestKs:
                   for s in range(1000))
         assert 0.04 <= rej / 1000 <= 0.06
 
-    def test_level_monte_carlo_path(self):
+    def test_level_exact_path(self):
+        # n <= 100 takes the exact law of D_n
         rej = sum(ks_test_uniform(uniform_sample(s, 100)).p_value <= 0.05
                   for s in range(1000))
         assert 0.04 <= rej / 1000 <= 0.06
+
+    @pytest.mark.parametrize("n", [8, 20, 100])
+    def test_exact_law_matches_scipy_kstwo(self, n):
+        # From D_n's floor 1/(2n), where the tail is 1, to 1, where it is 0.
+        d = np.linspace(0.5 / n, 1.0, 61)
+        got = [gof._ks_exact_sf(n, x) for x in d]
+        assert np.max(np.abs(np.array(got) - stats.kstwo.sf(d, n))) <= 1e-12
 
     def test_permutation_invariant(self):
         u = uniform_sample(0, 200).values
@@ -139,15 +147,14 @@ class TestFrosini:
 
 
 class TestMonteCarloNulls:
-    @pytest.mark.parametrize("n,ks_exceed,frosini_exceed", [
-        (20, 23412, 37256),
-        (100, 64327, 45796),
-    ])
-    def test_p_values_frozen(self, n, ks_exceed, frosini_exceed):
-        # Pins each null's seed stream, block layout and statistic: a p-value
-        # is (number of null statistics >= observed + 1) / (1e5 + 1).
+    @pytest.mark.parametrize("n,frosini_exceed", [(20, 37256), (100, 45796)])
+    def test_p_values_frozen(self, n, frosini_exceed):
+        # Pins the Frosini null's seed stream, block layout and statistic: a
+        # p-value is (number of null statistics >= observed + 1) / (1e5 + 1).
+        # The KS p-value at these sizes is the exact law's.
         u = uniform_sample(7, n)
-        assert ks_test_uniform(u).p_value == (ks_exceed + 1) / 100_001
+        ks = ks_test_uniform(u)
+        assert ks.p_value == pytest.approx(stats.kstwo.sf(ks.statistic, n), abs=1e-12)
         assert frosini_test(u).p_value == (frosini_exceed + 1) / 100_001
 
 
@@ -230,7 +237,7 @@ class TestFrosiniAsymptotic:
 class TestNullSource:
     def test_each_report_names_its_null(self):
         small, large = uniform_sample(1, 100), uniform_sample(1, 101)
-        assert ks_test_uniform(small).null == "monte-carlo"
+        assert ks_test_uniform(small).null == "exact"
         assert ks_test_uniform(large).null == "asymptotic"
         assert neyman_smooth_test(small).null == "chi-square"
         assert frosini_test(small).null == "monte-carlo"
