@@ -38,6 +38,7 @@ _EDGE_START = 1e-2      # an edge start's zero skew coordinate, relative to the 
 _CORNER_START = 1e-2    # NIG moment starts with pos + neg below this start at the normal law
 _BOUNDARY_NATS = 1e-7   # NIG parameters stand in for a boundary law to this
 _ECF_JITTER_SEED = 60481
+_ECF_RESTARTS = 7       # jittered NCIG restarts beside the moment start
 _ECF_NODES = 20         # ECF frequency nodes on each side of 0
 _ECF_BLOCK = 20000      # observations per block of the ECF sum
 ModelParams = Union[NormalParams, NigParams, NcigParams]
@@ -251,14 +252,17 @@ def _ecf_values(data: np.ndarray, u: np.ndarray) -> np.ndarray:
     return total / n
 
 
+def _ecf_distance(ecf: np.ndarray, model: np.ndarray, weights: np.ndarray) -> float:
+    """Weighted squared distance sum_j w_j |ecf_j - chf_j|^2."""
+    return float(np.sum(weights * np.abs(ecf - model) ** 2))
+
+
 def ecf_objective(model_chf, data, nodes: tuple[np.ndarray, np.ndarray]) -> float:
     """Weighted squared distance sum_j w_j |ecf(u_j) - chf(u_j)|^2 over the
     (u_grid, weights) pair ``nodes`` of ``default_ecf_config``."""
     u_grid, weights = nodes
-    arr = np.asarray(data, dtype=float)
-    ecf = _ecf_values(arr, u_grid)
-    model = np.asarray(model_chf(u_grid), dtype=complex)
-    return float(np.sum(weights * np.abs(ecf - model) ** 2))
+    ecf = _ecf_values(np.asarray(data, dtype=float), u_grid)
+    return _ecf_distance(ecf, np.asarray(model_chf(u_grid), dtype=complex), weights)
 
 
 def default_ecf_config(data) -> tuple[np.ndarray, np.ndarray]:
@@ -375,24 +379,20 @@ def _fallback_init_ncig(target: np.ndarray) -> NcigParams:
     return _ncig_from_theta(theta)
 
 
-def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
-                 n_starts: int = 8,
-                 compute_log_likelihood: bool = True) -> FitResult:
-    """NCIG fit minimizing the weighted ECF distance by simplex search from a
-    method-of-moments start plus deterministically jittered restarts.
+def fit_ncig_ecf(data, init: Optional[NcigParams] = None) -> FitResult:
+    """NCIG fit minimizing the weighted ECF distance by simplex search, from
+    ``init`` alone when it is given, otherwise from a method-of-moments start
+    plus _ECF_RESTARTS = 7 deterministically jittered restarts.
 
     The data are rescaled to unit standard deviation internally (the NCIG
     family is closed under scaling) so the exp(-u^2) node weights of
     ``default_ecf_config`` act at their design scale.  When each start stops,
     converged or stalled, the FFT-based log-likelihood of the original data
     is computed, and the start with the largest one is selected even if it
-    stalled (the fit then reports converged=False).  Without that
-    log-likelihood the start with the smallest ECF distance is selected; ties
-    go to the first start.
+    stalled (the fit then reports converged=False); ties go to the first
+    start.
     """
     from scipy import optimize
-    if n_starts < 1:
-        raise InvalidParameterError("fit_ncig_ecf needs n_starts >= 1")
     arr = np.asarray(data, dtype=float)
     if arr.size < 16:
         raise DataError("NCIG ECF fit requires at least 16 observations")
@@ -404,9 +404,12 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
     u_grid, weights = default_ecf_config(fit_data)
 
     if init is not None:
-        init_scaled = _scale_ncig(init, 1.0 / scale)
+        thetas = [_ncig_to_theta(_scale_ncig(init, 1.0 / scale))]
     else:
-        init_scaled = moment_init_ncig(fit_data)
+        theta0 = _ncig_to_theta(moment_init_ncig(fit_data))
+        rng = np.random.default_rng(_ECF_JITTER_SEED)
+        thetas = [theta0] + [theta0 + rng.normal(size=4) * np.array([0.7, 0.5, 0.5, 0.5])
+                             for _ in range(_ECF_RESTARTS)]
 
     ecf = _ecf_values(fit_data, u_grid)
 
@@ -415,15 +418,8 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
             model = ncig_chf(_ncig_from_theta(theta), u_grid)
         except InvalidParameterError:
             return np.inf
-        val = float(np.sum(weights * np.abs(ecf - model) ** 2))
+        val = _ecf_distance(ecf, model, weights)
         return val if np.isfinite(val) else np.inf
-
-    rng = np.random.default_rng(_ECF_JITTER_SEED)
-    theta0 = _ncig_to_theta(init_scaled)
-    thetas = [theta0]
-    for _ in range(n_starts - 1):
-        jitter = rng.normal(size=4) * np.array([0.7, 0.5, 0.5, 0.5])
-        thetas.append(theta0 + jitter)
 
     per_start = []
     for theta_start in thetas:
@@ -432,16 +428,14 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
             options={"maxiter": _MAX_ITERATIONS, "maxfev": 4 * _MAX_ITERATIONS,
                      "xatol": _XATOL, "fatol": 1e-16})
         params = _scale_ncig(_ncig_from_theta(res.x), scale)
-        loglik = None
         flags = () if res.success else ("optimizer stalled",)
-        if compute_log_likelihood:
-            try:
-                grid = default_grid(ncig_moments(params))
-                density = invert_chf(lambda u: ncig_chf(params, u), grid)
-                loglik = log_likelihood_from_grid(density, arr)
-            except LevyPremiumError:
-                loglik = -np.inf
-                flags = flags + ("fft likelihood unavailable",)
+        try:
+            grid = default_grid(ncig_moments(params))
+            density = invert_chf(lambda u: ncig_chf(params, u), grid)
+            loglik = log_likelihood_from_grid(density, arr)
+        except LevyPremiumError:
+            loglik = -np.inf
+            flags = flags + ("fft likelihood unavailable",)
         per_start.append(FitResult(
             params=params, objective=float(res.fun), objective_kind="ecf_distance",
             converged=bool(res.success), iterations=int(res.nit),
@@ -449,8 +443,7 @@ def fit_ncig_ecf(data, init: Optional[NcigParams] = None,
             init=_scale_ncig(_ncig_from_theta(theta_start), scale),
             log_likelihood=loglik, flags=flags))
 
-    return max(per_start, key=lambda f: f.log_likelihood if compute_log_likelihood
-               else -f.objective)
+    return max(per_start, key=lambda f: f.log_likelihood)
 
 
 def bootstrap_se(data, fitter, n_resamples: int = 200, seed: int = 0) -> dict:

@@ -35,7 +35,6 @@ _MC_MASTER_SEED = 741852963
 _MC_BLOCK_VALUES = 1_000_000
 _KS_EXACT_MAX_N = 100
 _FROSINI_MC_MAX_N = 200
-_null_cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -92,10 +91,6 @@ def _frosini_rows(u: np.ndarray) -> np.ndarray:
     """Frosini statistic B_n of each row of u, sorted along its last axis."""
     n = u.shape[-1]
     return np.abs(u - (np.arange(1, n + 1) - 0.5) / n).sum(axis=-1) / np.sqrt(n)
-
-
-# Null statistic per kind, with its seed stream under the master seed.
-_MC_STATISTICS = {"frosini": (2, _frosini_rows)}
 
 
 def _matrix_power(a: np.ndarray, n: int) -> tuple[np.ndarray, int]:
@@ -188,25 +183,22 @@ def _bridge_l1_sf(x: float) -> float:
     return min(max(1.0 - _bridge_l1_cdf(x), 0.0), bound)
 
 
-def _mc_null(kind: str, n: int) -> np.ndarray:
-    """Sorted Monte-Carlo null of the ``kind`` statistic at sample size n:
-    _MC_REPLICATES uniform samples from the kind's own seed stream, drawn in
-    blocks of at most _MC_BLOCK_VALUES values, cached per (kind, n).  The
+@functools.cache
+def _frosini_null(n: int) -> np.ndarray:
+    """Sorted Monte-Carlo null of the Frosini statistic at sample size n:
+    _MC_REPLICATES uniform samples from seed stream 2 under the master seed,
+    drawn in blocks of at most _MC_BLOCK_VALUES values, cached per n.  The
     generator's uniform stream is sequential, so the block size does not
     change the null."""
-    key = (kind, n)
-    if key not in _null_cache:
-        stream, statistic = _MC_STATISTICS[kind]
-        rng = np.random.default_rng([_MC_MASTER_SEED, stream, n])
-        stats = np.empty(_MC_REPLICATES)
-        block = max(1, _MC_BLOCK_VALUES // n)
-        done = 0
-        while done < _MC_REPLICATES:
-            m = min(block, _MC_REPLICATES - done)
-            stats[done:done + m] = statistic(np.sort(rng.uniform(size=(m, n)), axis=1))
-            done += m
-        _null_cache[key] = np.sort(stats)
-    return _null_cache[key]
+    rng = np.random.default_rng([_MC_MASTER_SEED, 2, n])
+    stats = np.empty(_MC_REPLICATES)
+    block = max(1, _MC_BLOCK_VALUES // n)
+    done = 0
+    while done < _MC_REPLICATES:
+        m = min(block, _MC_REPLICATES - done)
+        stats[done:done + m] = _frosini_rows(np.sort(rng.uniform(size=(m, n)), axis=1))
+        done += m
+    return np.sort(stats)
 
 
 def _mc_p_value(null_sorted: np.ndarray, observed: float) -> float:
@@ -276,7 +268,7 @@ def frosini_test(s: PitSample) -> TestReport:
     if n > _FROSINI_MC_MAX_N:
         p, null = _bridge_l1_sf(stat), "asymptotic"
     else:
-        p, null = _mc_p_value(_mc_null("frosini", n), stat), "monte-carlo"
+        p, null = _mc_p_value(_frosini_null(n), stat), "monte-carlo"
     return TestReport(statistic=stat, p_value=p, method="Frosini", n=n, null=null)
 
 

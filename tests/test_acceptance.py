@@ -154,8 +154,8 @@ def test_criterion_5_estimation_recovery():
             failures.append(f"NIG {field}: rel {100 * rel:.2f}%, "
                             f"|err| {abs(value - truth):.3g} > 3se {3 * nig_boot[field]:.3g}")
 
-    ncig_fits = [fit_ncig_ecf(ncig_sample(REF_NCIG, 100_000, seed=s),
-                              n_starts=8).params for s in range(10)]
+    ncig_fits = [fit_ncig_ecf(ncig_sample(REF_NCIG, 100_000, seed=s)).params
+                 for s in range(10)]
     med = _median_params(ncig_fits, ("lam", "mu", "nu", "sigma2"))
     ncig_boot = None
     for field, value in med.items():
@@ -166,11 +166,9 @@ def test_criterion_5_estimation_recovery():
             continue
         if ncig_boot is None:
             data0 = ncig_sample(REF_NCIG, 100_000, seed=0)
-            warm = fit_ncig_ecf(data0, n_starts=8).params
+            warm = fit_ncig_ecf(data0).params
             ncig_boot = bootstrap_se(
-                data0,
-                lambda d: fit_ncig_ecf(d, init=warm, n_starts=1,
-                                       compute_log_likelihood=False).params,
+                data0, lambda d: fit_ncig_ecf(d, init=warm).params,
                 n_resamples=200, seed=502)
         if abs(value - truth) <= 3.0 * ncig_boot[field]:
             report.append(f"NCIG {field} {100 * rel:.2f}% (within 3 bootstrap SE)")
@@ -199,7 +197,7 @@ def test_criterion_6_likelihood_ordering():
     for seed in range(10):
         data = ncig_sample(REF_NCIG, 100_000, seed=650 + seed)
         nig_ll = fit_nig_mle(data).objective
-        ncig_ll = fit_ncig_ecf(data, n_starts=8).log_likelihood
+        ncig_ll = fit_ncig_ecf(data).log_likelihood
         margins.append(float(ncig_ll - nig_ll))
         if ncig_ll > nig_ll:
             ncig_wins += 1

@@ -271,7 +271,7 @@ class TestMomentInitNcig:
 class TestFitNcigEcf:
     def test_recovery_smoke(self):
         data = ncig_sample(REF_NCIG, 100_000, seed=20)
-        fit = fit_ncig_ecf(data, n_starts=4)
+        fit = fit_ncig_ecf(data)
         assert fit.objective_kind == "ecf_distance"
         assert fit.log_likelihood is not None and np.isfinite(fit.log_likelihood)
         # loose recovery sanity; the acceptance suite runs the strict version
@@ -282,15 +282,26 @@ class TestFitNcigEcf:
 
     def test_multi_start_selects_highest_fft_likelihood(self):
         data = ncig_sample(REF_NCIG, 20_000, seed=21)
-        fit = fit_ncig_ecf(data, n_starts=4)
+        fit = fit_ncig_ecf(data)
         # rerun the same fit and confirm determinism of the selection
-        again = fit_ncig_ecf(data, n_starts=4)
+        again = fit_ncig_ecf(data)
         assert fit == again
 
-    @pytest.mark.parametrize("n_starts", [0, -1])
-    def test_fewer_than_one_start_rejected(self, n_starts):
-        with pytest.raises(InvalidParameterError, match="n_starts"):
-            fit_ncig_ecf(ncig_sample(REF_NCIG, 200, seed=4), n_starts=n_starts)
+    def test_given_start_runs_one_search(self, monkeypatch):
+        searches = []
+        minimize = optimize.minimize
+
+        def counted(*args, **kwargs):
+            searches.append(kwargs["method"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(optimize, "minimize", counted)
+        data = ncig_sample(REF_NCIG, 2000, seed=4)
+        fit = fit_ncig_ecf(data, init=REF_NCIG)
+        assert searches == ["Nelder-Mead"]
+        assert np.isfinite(fit.log_likelihood)
+        fit_ncig_ecf(data)
+        assert searches == ["Nelder-Mead"] * 9
 
     def test_small_sample_rejected(self):
         with pytest.raises(DataError):
@@ -340,7 +351,7 @@ class TestFitNigMleSearch:
         assert fit.iterations <= fit.nfev
 
     def test_ncig_fit_reports_the_winning_start(self):
-        ncig = fit_ncig_ecf(ncig_sample(REF_NCIG, 2000, seed=4), n_starts=2)
+        ncig = fit_ncig_ecf(ncig_sample(REF_NCIG, 2000, seed=4))
         assert ncig.nfev > ncig.iterations > 0
         assert isinstance(ncig.message, str) and ncig.message
 

@@ -189,7 +189,7 @@ class TestFrosiniAsymptotic:
         assert mean == pytest.approx(math.sqrt(math.pi / 32.0), abs=1e-8)
 
     def test_agrees_with_monte_carlo_at_n_500(self):
-        null = gof._mc_null("frosini", 500)
+        null = gof._frosini_null(500)
         for s in range(50):
             rep = frosini_test(uniform_sample(s, 500))
             assert rep.null == "asymptotic"
